@@ -65,14 +65,9 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Prime-power factorization, primes strictly ascending.
-
-    ``certified`` is False when any prime factor was only probabilistically
-    tested (i.e. it is at least 2**64).
-    """
+    """Prime-power factorization, primes strictly ascending."""
 
     factors: tuple[tuple[int, int], ...]
-    certified: bool = True
 
     def __post_init__(self):
         primes = [p for p, _ in self.factors]
@@ -87,6 +82,12 @@ class Factorization:
         for p, a in self.factors:
             out *= p**a
         return out
+
+    @property
+    def certified(self) -> bool:
+        """False when any prime is at least 2**64, where Miller-Rabin is
+        only probabilistic."""
+        return all(p < _DETERMINISTIC_BOUND for p, _ in self.factors)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -190,7 +191,6 @@ def factorize(
         f += skip[idx]
         idx = (idx + 1) % len(skip)
 
-    certified = True
     budget = [rho_budget]
     stack = [rest] if rest > 1 else []
     while stack:
@@ -199,8 +199,6 @@ def factorize(
             continue
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
-            if m >= _DETERMINISTIC_BOUND:
-                certified = False
             continue
         rng = random.Random(m)
         d = m
@@ -209,8 +207,9 @@ def factorize(
         stack.append(d)
         stack.append(m // d)
 
-    fact = Factorization(tuple(sorted(counts.items())), certified)
-    assert fact.n == n
+    fact = Factorization(tuple(sorted(counts.items())))
+    if fact.n != n:
+        raise AssertionError(f"factors {fact.factors} do not multiply back to {n}")
     return fact
 
 

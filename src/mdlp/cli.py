@@ -146,9 +146,7 @@ def cmd_solve(args, argv) -> int:
     started = time.perf_counter()
     inst = _load_instance(args.instance)
     try:
-        sol = solvers.solve(
-            inst, args.strategy, workers=args.workers, budget=args.budget
-        )
+        sol = solvers.solve(inst, args.strategy, budget=args.budget)
     except AllMethodsExhausted as exc:
         return _emit(
             argv,
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="recover the exponents of an instance file")
     p.add_argument("instance")
     p.add_argument("--strategy", choices=solvers.STRATEGIES, default="auto")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=solvers.DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=cmd_solve)
 

@@ -117,7 +117,8 @@ def collect_relations(
         if cofactor != 1:
             continue
         rel = Relation(k, tuple(exps))
-        assert relation_holds(p, alpha, fb, rel)
+        if not relation_holds(p, alpha, fb, rel):
+            raise AssertionError(f"relation {rel} does not hold mod {p}")
         found.add(rel)
         if len(found) >= want:
             rows = tuple(sorted(found, key=lambda r: (r.k, r.exponents)))

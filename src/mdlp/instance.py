@@ -23,6 +23,7 @@ from .arith import (
     Factorization,
     Modulus,
     as_modulus,
+    factorize,
     is_probable_prime,
     multiplicative_order,
 )
@@ -366,20 +367,7 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
 
 def _divisors(n: int) -> list[int]:
     out = [1]
-    rest = n
-    f = 2
-    facs = []
-    while f * f <= rest:
-        a = 0
-        while rest % f == 0:
-            rest //= f
-            a += 1
-        if a:
-            facs.append((f, a))
-        f += 1
-    if rest > 1:
-        facs.append((rest, 1))
-    for p, a in facs:
+    for p, a in factorize(n) if n > 1 else ():
         out = [d * p**e for d in out for e in range(a + 1)]
     return sorted(out)
 

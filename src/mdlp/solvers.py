@@ -17,19 +17,18 @@ Five routes to the witness tuple of an instance:
   leaked congruences shrink the remaining search box.
 
 Every returned Solution is verified against the instance before it leaves
-this module. Work counters tally group operations (modular multiplications
-and powerings) and, for block-partitioned scans, are defined canonically
-from the hit position so any worker count reports the same number.
+this module, by a check that also runs under ``python -O``. Work counters
+tally group operations (modular multiplications and powerings); for box
+scans they count the tuples a tuple-by-tuple lexicographic scan would
+examine, which the table lookups derive exactly from the hit position.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arith import Modulus, factorize, multiplicative_order
 from .congruence import Congruence, CrtSolution, solve_system, split_exponent
@@ -148,63 +147,79 @@ def solve_dlp(task: DlpTask, ops: Optional[list[int]] = None) -> Optional[int]:
 
 # ---------------------------------------------------------------------------
 # Exponent-box scans
+#
+# A box is one exponent range per generator. Its tuples are numbered in
+# lexicographic order (last exponent fastest); that position is what every
+# scan's work count and lexicographic tie-break are defined from.
 
 
-def _pow_tables(inst: Instance) -> list[list[int]]:
-    n = inst.n
-    tables = []
-    for g, r in zip(inst.generators, inst.orders):
-        row = [1] * r
-        for e in range(1, r):
-            row[e] = row[e - 1] * g % n
-        tables.append(row)
-    return tables
+def _checked(inst: Instance, exponents: Sequence[int], method: str, work: int) -> Solution:
+    """The Solution, once it has been re-evaluated against the instance.
 
-
-def _decode(idx: int, radices: Sequence[int]) -> list[int]:
-    digits = [0] * len(radices)
-    for i in range(len(radices) - 1, -1, -1):
-        digits[i] = idx % radices[i]
-        idx //= radices[i]
-    return digits
-
-
-def _scan_block(args) -> tuple[Optional[int], int]:
-    """Scan exponent indices [start, end) for beta; first hit index.
-
-    Returns (hit index or None, candidates examined). Runs in worker
-    processes for parallel scans, so everything arrives as one tuple.
+    An explicit check rather than an assert, so it also runs under
+    ``python -O``.
     """
-    n, beta, tables, radices, start, end, skip = args
-    t = len(radices)
-    digits = _decode(start, radices)
-    prefix = [1] * t
-    acc = 1
-    for i in range(t):
-        acc = acc * tables[i][digits[i]] % n
-        prefix[i] = acc
-    examined = 0
-    idx = start
-    while idx < end:
-        if skip is None or idx not in skip:
-            examined += 1
-            if prefix[t - 1] == beta:
-                return idx, examined
-        # Odometer increment from the least significant digit.
-        i = t - 1
-        digits[i] += 1
-        while digits[i] == radices[i]:
-            digits[i] = 0
-            i -= 1
-            if i < 0:
-                return None, examined
-            digits[i] += 1
-        acc = prefix[i - 1] if i > 0 else 1
-        for j in range(i, t):
-            acc = acc * tables[j][digits[j]] % n
-            prefix[j] = acc
-        idx += 1
-    return None, examined
+    sol = Solution(tuple(exponents), method, work)
+    if not verify(inst, sol.exponents):
+        raise AssertionError(f"{method} returned {sol.exponents}, which does not give beta")
+    return sol
+
+
+def _power_row(g: int, ks: range, n: int) -> list[int]:
+    """[g**k mod n for k in ks], one multiplication per entry."""
+    step = pow(g, ks.step, n)
+    cur = pow(g, ks.start, n)
+    row = []
+    for _ in ks:
+        row.append(cur)
+        cur = cur * step % n
+    return row
+
+
+def _prefix_products(rows: Sequence[Sequence[int]], n: int, acc: int = 1) -> Iterator[int]:
+    """acc * rows[0][d_0] * ... * rows[-1][d_-1] mod n for every digit
+    tuple, in lexicographic order; no rows yields acc once.
+
+    The one box odometer: each value is its parent prefix times one row
+    entry. Callers pass every axis but the last and loop over that one
+    themselves, so no tuple costs a generator resume.
+    """
+    if not rows:
+        yield acc
+        return
+    *head, last = rows
+    for p in _prefix_products(head, n, acc):
+        for x in last:
+            yield p * x % n
+
+
+def _decode(pos: int, box: Sequence[range]) -> tuple[int, ...]:
+    """The exponent tuple at lexicographic position ``pos`` of the box."""
+    out = [0] * len(box)
+    for i in range(len(box) - 1, -1, -1):
+        pos, d = divmod(pos, len(box[i]))
+        out[i] = box[i][d]
+    return tuple(out)
+
+
+def _box_hits(inst: Instance, box: Sequence[range]) -> Iterator[int]:
+    """Ascending positions of the tuples in the box whose product is beta.
+
+    Shanks' split: the last generator's powers over its range go in a
+    dict, the other axes are walked as prefix products of inverse powers
+    starting from beta, and each prefix is looked up. The last range lies
+    in [0, r_t) and r_t is the exact order, so its powers are distinct and
+    each prefix has at most one hit.
+    """
+    n = inst.n
+    *head, last = box
+    where = {v: j for j, v in enumerate(_power_row(inst.generators[-1], last, n))}
+    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(inst.generators, head)]
+    width = len(last)
+    for i, q in enumerate(_prefix_products(inv_rows, n, inst.beta)):
+        j = where.get(q)
+        if j is not None:
+            yield i * width + j
 
 
 def _diagonal_indices(orders: Sequence[int]) -> list[int]:
@@ -224,55 +239,30 @@ def solve_exhaustive(
     *,
     budget: int = DEFAULT_SEARCH_BUDGET,
     skip_diagonal: bool = False,
-    workers: int = 1,
 ) -> Optional[Solution]:
     """Lexicographically smallest exponent tuple mapping to beta, or None.
 
-    ``skip_diagonal`` leaves out the lcm(r_i) diagonal tuples first and
-    only walks the diagonal (as powers of the product generator) when the
-    box scan misses; the reported work excludes the skipped tuples either
-    way. ``workers`` > 1 fans fixed-stride blocks out to a process pool;
-    results and reported work are identical for any worker count.
+    Walks the first t-1 exponents and looks the last one up in a table of
+    its generator's powers. ``work`` is the number of box tuples up to and
+    including the hit in lexicographic order (the whole box on a miss),
+    i.e. what a tuple-by-tuple scan would examine. ``skip_diagonal``
+    leaves out the lcm(r_i) diagonal tuples first and only walks the
+    diagonal (as powers of the product generator) when the box scan
+    misses; the reported work excludes the skipped tuples either way.
     """
     radices = inst.orders
     total = math.prod(radices)
     if total > budget:
         raise BudgetExceeded(f"exhaustive box of {total} tuples exceeds budget {budget}")
-    tables = _pow_tables(inst)
-    diag: Optional[list[int]] = None
-    skip = None
-    if skip_diagonal:
-        diag = _diagonal_indices(radices)
-        skip = frozenset(diag)
-
-    hit = None
-    if workers <= 1 or total < 4096:
-        hit, _ = _scan_block((inst.n, inst.beta, tables, radices, 0, total, skip))
-    else:
-        block = max(1024, -(-total // (workers * 8)))
-        spans = [(s, min(s + block, total)) for s in range(0, total, block)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for w in range(0, len(spans), workers):
-                wave = spans[w : w + workers]
-                args = [
-                    (inst.n, inst.beta, tables, radices, s, e, skip) for s, e in wave
-                ]
-                for (idx, _), _span in zip(pool.map(_scan_block, args), wave):
-                    if idx is not None:
-                        hit = idx
-                        break
-                if hit is not None:
-                    break
-
+    box = [range(r) for r in radices]
+    diag = _diagonal_indices(radices) if skip_diagonal else []
+    skip = frozenset(diag)
+    hit = next((pos for pos in _box_hits(inst, box) if pos not in skip), None)
     if hit is not None:
-        work = hit + 1
-        if diag is not None:
-            work -= bisect_right(diag, hit)
-        sol = Solution(tuple(_decode(hit, radices)), METHOD_EXHAUSTIVE, work)
-        assert verify(inst, sol.exponents)
-        return sol
+        work = hit + 1 - bisect_right(diag, hit)
+        return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, work)
 
-    work = total - (len(diag) if diag is not None else 0)
+    work = total - len(diag)
     if skip_diagonal:
         # The answer may live on the skipped diagonal: walk it as powers
         # of the product of all generators.
@@ -283,30 +273,18 @@ def solve_exhaustive(
         for k in range(math.lcm(*radices)):
             work += 1
             if cur == inst.beta:
-                sol = Solution(
-                    tuple(split_exponent(k, radices)), METHOD_EXHAUSTIVE, work
-                )
-                assert verify(inst, sol.exponents)
-                return sol
+                return _checked(inst, split_exponent(k, radices), METHOD_EXHAUSTIVE, work)
             cur = cur * g_all % inst.n
     return None
 
 
 def find_all_solutions(inst: Instance, budget: int = DEFAULT_SEARCH_BUDGET) -> list[tuple[int, ...]]:
     """Every exponent tuple in the box mapping to beta (uniqueness probe)."""
-    radices = inst.orders
-    total = math.prod(radices)
+    total = math.prod(inst.orders)
     if total > budget:
         raise BudgetExceeded(f"{total} tuples exceed budget {budget}")
-    tables = _pow_tables(inst)
-    out = []
-    start = 0
-    while True:
-        hit, _ = _scan_block((inst.n, inst.beta, tables, radices, start, total, None))
-        if hit is None:
-            return out
-        out.append(tuple(_decode(hit, radices)))
-        start = hit + 1
+    box = [range(r) for r in inst.orders]
+    return [_decode(pos, box) for pos in _box_hits(inst, box)]
 
 
 def solve_mitm(
@@ -321,89 +299,39 @@ def solve_mitm(
     scans the remaining half, matching beta * (right half)**-1 against the
     table. Returns the lexicographically smallest matching tuple.
     """
-    n, beta = inst.n, inst.beta
-    t = inst.t
-    h = (t + 1) // 2
-    left_rad = inst.orders[:h]
-    right_rad = inst.orders[h:]
-    left_total = math.prod(left_rad)
-    right_total = math.prod(right_rad)
+    n = inst.n
+    h = (inst.t + 1) // 2
+    box = [range(r) for r in inst.orders]
+    left_total = math.prod(inst.orders[:h])
+    right_total = math.prod(inst.orders[h:])
     if left_total > memory_cap:
         raise BudgetExceeded(f"mitm table of {left_total} entries exceeds cap {memory_cap}")
     if left_total + right_total > budget:
         raise BudgetExceeded(
             f"mitm scan of {left_total + right_total} candidates exceeds budget {budget}"
         )
-    tables = _pow_tables(inst)
 
-    # Left half: value -> first (lexicographically smallest) index.
+    # Left half: value -> first (lexicographically smallest) position.
+    *head, last = [_power_row(g, ks, n) for g, ks in zip(inst.generators, box[:h])]
     table: dict[int, int] = {}
-    digits = [0] * h
-    prefix = [1] * h
-    acc = 1
-    for i in range(h):
-        acc = acc * tables[i][digits[i]] % n
-        prefix[i] = acc
-    for idx in range(left_total):
-        table.setdefault(prefix[h - 1] if h else 1, idx)
-        i = h - 1
-        digits[i] += 1
-        while digits[i] == left_rad[i]:
-            digits[i] = 0
-            i -= 1
-            if i < 0:
-                break
-            digits[i] += 1
-        else:
-            acc = prefix[i - 1] if i > 0 else 1
-            for j in range(i, h):
-                acc = acc * tables[j][digits[j]] % n
-                prefix[j] = acc
+    for i, p in enumerate(_prefix_products(head, n)):
+        for pos, x in enumerate(last, i * len(last)):
+            table.setdefault(p * x % n, pos)
 
-    # Right half: scan with inverse-generator power tables.
-    inv_tables = []
-    for g, r in zip(inst.generators[h:], right_rad):
-        gi = pow(g, -1, n)
-        row = [1] * r
-        for e in range(1, r):
-            row[e] = row[e - 1] * gi % n
-        inv_tables.append(row)
-
+    # Right half, with inverse powers; for t = 1 it is one empty product.
+    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(inst.generators[h:], box[h:])]
+    *head, last = inv_rows or [[1]]
     best: Optional[tuple[int, int]] = None
-    rt = len(right_rad)
-    digits = [0] * rt
-    prefix = [1] * rt
-    for idx in range(right_total):
-        needed = beta
-        if rt:
-            needed = beta * prefix[rt - 1] % n
-        lidx = table.get(needed)
-        if lidx is not None and (best is None or (lidx, idx) < best):
-            best = (lidx, idx)
-        if not rt:
-            break
-        i = rt - 1
-        digits[i] += 1
-        while digits[i] == right_rad[i]:
-            digits[i] = 0
-            i -= 1
-            if i < 0:
-                break
-            digits[i] += 1
-        else:
-            acc = prefix[i - 1] if i > 0 else 1
-            for j in range(i, rt):
-                acc = acc * inv_tables[j][digits[j]] % n
-                prefix[j] = acc
+    for i, q in enumerate(_prefix_products(head, n, inst.beta)):
+        for pos, x in enumerate(last, i * len(last)):
+            lidx = table.get(q * x % n)
+            if lidx is not None and (best is None or lidx < best[0]):
+                best = (lidx, pos)
 
     if best is None:
         return None
-    exps = tuple(_decode(best[0], left_rad) + _decode(best[1], right_rad)) if rt else tuple(
-        _decode(best[0], left_rad)
-    )
-    sol = Solution(exps, METHOD_MITM, left_total + right_total)
-    assert verify(inst, sol.exponents)
-    return sol
+    exps = _decode(best[0], box[:h]) + _decode(best[1], box[h:])
+    return _checked(inst, exps, METHOD_MITM, left_total + right_total)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +355,8 @@ def attack_collapse(inst: Instance) -> Optional[Solution]:
     k = solve_dlp(DlpTask(g_all, inst.beta, n, order), ops)
     if k is None:
         return None
-    exps = tuple(split_exponent(k, inst.orders))
     method = METHOD_SINGLE_DLP if inst.t == 1 else METHOD_COLLAPSE
-    sol = Solution(exps, method, ops[0])
-    assert verify(inst, sol.exponents)
-    return sol
+    return _checked(inst, split_exponent(k, inst.orders), method, ops[0])
 
 
 @dataclass(frozen=True)
@@ -462,10 +387,9 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
     order of g_i mod p. Residues from several primes merge by CRT. The
     reduction is attacker-checkable: it never peeks at the witness.
     """
-    n = inst.n
     ops = [0]
     congruences: dict[int, CrtSolution] = {}
-    candidate_sets: list[list[int]] = []
+    candidate_sets: list[range] = []
     for i, (g, r) in enumerate(zip(inst.generators, inst.orders)):
         entries = []
         for p in inst.modulus.factorization.primes:
@@ -483,12 +407,12 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
             try:
                 merged = solve_system(entries)
             except UnsolvableSystem:
-                candidate_sets.append(list(range(r)))
+                candidate_sets.append(range(r))
                 continue
             congruences[i] = merged
-            candidate_sets.append(list(range(merged.residue % merged.modulus, r, merged.modulus)))
+            candidate_sets.append(range(merged.residue % merged.modulus, r, merged.modulus))
         else:
-            candidate_sets.append(list(range(r)))
+            candidate_sets.append(range(r))
 
     if not congruences:
         return PeelResult("not-applicable", {}, None, ops[0])
@@ -497,16 +421,13 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
     if remaining > budget:
         return PeelResult("partial", congruences, None, ops[0])
 
-    for exps in itertools.product(*candidate_sets):
-        ops[0] += 1
-        acc = 1
-        for g, k in zip(inst.generators, exps):
-            acc = acc * pow(g, k, n) % n
-        if acc == inst.beta:
-            sol = Solution(tuple(exps), METHOD_PEEL, ops[0])
-            assert verify(inst, sol.exponents)
-            return PeelResult("solved", congruences, sol, ops[0])
-    return PeelResult("not-found", congruences, None, ops[0])
+    # Work counts the candidate tuples a lexicographic walk would examine.
+    hit = next(_box_hits(inst, candidate_sets), None)
+    if hit is None:
+        return PeelResult("not-found", congruences, None, ops[0] + remaining)
+    work = ops[0] + hit + 1
+    sol = _checked(inst, _decode(hit, candidate_sets), METHOD_PEEL, work)
+    return PeelResult("solved", congruences, sol, work)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +440,6 @@ def solve(
     inst: Instance,
     strategy: str = "auto",
     *,
-    workers: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> Optional[Solution]:
@@ -532,7 +452,7 @@ def solve(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "exhaustive":
-        return solve_exhaustive(inst, budget=budget, workers=workers)
+        return solve_exhaustive(inst, budget=budget)
     if strategy == "mitm":
         return solve_mitm(inst, memory_cap=memory_cap, budget=budget)
     if strategy == "collapse":
@@ -560,7 +480,7 @@ def solve(
         diagnostics["mitm"] = str(exc)
 
     try:
-        return solve_exhaustive(inst, budget=budget, workers=workers)
+        return solve_exhaustive(inst, budget=budget)
     except BudgetExceeded as exc:
         diagnostics["exhaustive"] = str(exc)
 

@@ -231,3 +231,10 @@ class TestModulus:
     def test_rejects_small(self):
         with pytest.raises(InvalidModulus):
             Modulus.from_int(1)
+
+    def test_certified_only_below_deterministic_bound(self):
+        # 2**89 - 1 is prime but above 2**64, where Miller-Rabin is only
+        # probabilistic, however the factorization was obtained
+        big = Factorization(((2**61 - 1, 1), (2**89 - 1, 1)))
+        assert not Modulus.from_factorization(big).factorization.certified
+        assert factorize(35).certified

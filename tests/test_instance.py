@@ -15,6 +15,7 @@ from mdlp.errors import (
 )
 from mdlp.instance import (
     REFERENCE_TABLE_N35,
+    _divisors,
     VERDICT_BOTH,
     VERDICT_COLLAPSE,
     VERDICT_PEEL,
@@ -306,6 +307,10 @@ class TestGenerate:
             generate(1, t=0)
         with pytest.raises(ValueError):
             generate(1, bits=4)
+
+    def test_divisors_against_brute_force(self):
+        for r in range(1, 3001):
+            assert _divisors(r) == [d for d in range(1, r + 1) if r % d == 0]
 
 
 class TestSerialization:
