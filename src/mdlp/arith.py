@@ -1,9 +1,9 @@
 """Exact modular arithmetic over Python's native big integers.
 
-Powering, inversion, gcd/lcm, integer factorization (trial division plus
-Brent's cycle variant of Pollard rho), primality testing, Carmichael and
-Euler totients, and multiplicative order computation. Everything here is a
-pure function over immutable values.
+Integer factorization (trial division plus Brent's cycle variant of
+Pollard rho), primality testing, Carmichael and Euler totients, and
+multiplicative order computation. Everything here is a pure function
+over immutable values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InvalidModulus, NotAUnit, NotInvertible
+from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 
 # Below this bound the fixed Miller-Rabin witness set is a proof of
 # primality; above it the test is probabilistic.
@@ -95,34 +95,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
-
-
-def mod_pow(base: int, exp: int, modulus) -> int:
-    """base**exp reduced into [0, m). ``modulus`` may be an int or a Modulus."""
-    m = modulus.n if isinstance(modulus, Modulus) else modulus
-    if m < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {m}")
-    if base < 0 or exp < 0:
-        raise ValueError("base and exponent must be nonnegative")
-    return pow(base, exp, m)
-
-
-def mod_inv(a: int, m: int) -> int:
-    """Inverse of a mod m, in [1, m). Raises NotInvertible when gcd(a, m) != 1."""
-    if m < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {m}")
-    g = math.gcd(a, m)
-    if g != 1:
-        raise NotInvertible(a, m, g)
-    return pow(a, -1, m)
-
-
-def gcd_lcm(a: int, b: int) -> tuple[int, int]:
-    """(gcd, lcm) of two positive integers; gcd * lcm == a * b."""
-    if a < 1 or b < 1:
-        raise ValueError(f"arguments must be positive, got ({a}, {b})")
-    g = math.gcd(a, b)
-    return g, a // g * b
 
 
 def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:

@@ -2,8 +2,7 @@
 
 Every command is deterministic given identical flags and seeds. Numeric
 values are passed as decimal strings of any size. Commands that report
-results print a single JSON document; ``table`` prints CSV or markdown and
-``bench`` prints CSV rows.
+results print a single JSON document; ``table`` prints CSV or markdown.
 
 Exit codes: 0 success, 1 not-found / not-applicable, 2 invalid input,
 3 budget exceeded.
@@ -25,18 +24,6 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-BENCH_COLUMNS = ["n_bits", "t", "method", "work_ops", "wall_ms", "verdict"]
-BENCH_SUITES: dict[str, list[dict]] = {
-    "empty": [],
-    "quick": [{"seed_offset": i, "bits": 12, "t": 2} for i in range(4)],
-    "standard": [
-        {"seed_offset": i, "bits": b, "t": t}
-        for i, (b, t) in enumerate(
-            [(12, 1), (12, 2), (13, 2), (14, 2), (14, 3), (15, 2), (16, 2), (16, 3)]
-        )
-    ],
-}
 
 
 def _parse_range(text: str) -> range:
@@ -230,44 +217,6 @@ def cmd_rankdemo(args, argv) -> int:
     return _emit(argv, payload, EXIT_OK, started)
 
 
-def cmd_bench(args, argv) -> int:
-    if args.suite not in BENCH_SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; have {sorted(BENCH_SUITES)}")
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(BENCH_COLUMNS)
-        for params in BENCH_SUITES[args.suite]:
-            inst = instance.generate(
-                args.seed + params["seed_offset"],
-                bits=params["bits"],
-                t=params["t"],
-                max_order_product=20_000,
-            )
-            verdict = instance.hardness_report(inst).verdict
-            for method in ("collapse", "peel", "mitm", "exhaustive"):
-                t0 = time.perf_counter()
-                try:
-                    sol = solvers.solve(inst, method)
-                except BudgetExceeded:
-                    sol = None
-                wall = round((time.perf_counter() - t0) * 1000.0, 3)
-                writer.writerow(
-                    [
-                        inst.n.bit_length(),
-                        inst.t,
-                        method,
-                        sol.work if sol is not None else "",
-                        wall,
-                        verdict,
-                    ]
-                )
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdlp",
@@ -321,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="comma-separated generators")
     p.add_argument("--beta", type=int, required=True)
     p.set_defaults(func=cmd_rankdemo)
-
-    p = sub.add_parser("bench", help="benchmark solver methods over a suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -32,21 +32,6 @@ class Congruence:
 
 
 @dataclass(frozen=True)
-class CongruenceSystem:
-    items: tuple[Congruence, ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("a congruence system needs at least one item")
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-
-@dataclass(frozen=True)
 class CrtSolution:
     """The unique residue class mod lcm(all input moduli)."""
 

@@ -9,16 +9,6 @@ class InvalidModulus(MdlpError, ValueError):
     """Modulus smaller than 2 (or otherwise unusable)."""
 
 
-class NotInvertible(MdlpError, ValueError):
-    """Inversion attempted on a non-unit; carries the blocking gcd."""
-
-    def __init__(self, a, m, gcd):
-        super().__init__(f"{a} is not invertible mod {m} (gcd = {gcd})")
-        self.a = a
-        self.m = m
-        self.gcd = gcd
-
-
 class NotAUnit(MdlpError, ValueError):
     """Element shares a factor with the modulus; carries the gcd."""
 

@@ -129,33 +129,54 @@ def collect_relations(
     )
 
 
+def _row_reduce(aug: list[list[int]], ncols: int, q: int, e: int) -> list[int]:
+    """Reduce the rows of ``aug`` (entries in [0, q**e)) in place mod q**e.
+
+    Each of the first ``ncols`` columns gets a pivot only if some row not
+    yet used has a unit mod q there; the pivot row is scaled to 1 and the
+    column cleared in every other row. A column without one is skipped.
+    Returns the pivot columns in order; the i-th of them is pivoted in row
+    i. Columns past ``ncols`` (right-hand sides) are carried along.
+    """
+    qe = q**e
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(aug)) if aug[r][col] % q), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        inv = pow(aug[row][col], -1, qe)
+        aug[row] = [c * inv % qe for c in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(cr - f * cp) % qe for cr, cp in zip(aug[r], aug[row])]
+        pivots.append(col)
+    return pivots
+
+
 def _solve_mod_prime_power(
     rows: Sequence[tuple[Sequence[int], int]], ncols: int, q: int, e: int
 ) -> list[int]:
-    """Unique solution of A x = b mod q**e, pivoting only on units mod q."""
+    """Unique solution of A x = b mod q**e; RankDeficient when there is none.
+
+    The solution is unique exactly when every column gets a unit pivot.
+    """
     qe = q**e
     aug = [[c % qe for c in coeffs] + [rhs % qe] for coeffs, rhs in rows]
-    row_at: dict[int, int] = {}
-    pivot = 0
+    # Elimination never makes a unit in a column that has none, so such a
+    # column fails before any row is reduced.
     for col in range(ncols):
-        sel = next(
-            (r for r in range(pivot, len(aug)) if aug[r][col] % q != 0), None
-        )
-        if sel is None:
+        if all(row[col] % q == 0 for row in aug):
             raise RankDeficient(f"no unit pivot for column {col} mod {q}**{e}")
-        aug[pivot], aug[sel] = aug[sel], aug[pivot]
-        inv = pow(aug[pivot][col], -1, qe)
-        aug[pivot] = [c * inv % qe for c in aug[pivot]]
-        for r in range(len(aug)):
-            if r != pivot and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(cr - f * cp) % qe for cr, cp in zip(aug[r], aug[pivot])]
-        row_at[col] = pivot
-        pivot += 1
-    for r in range(pivot, len(aug)):
-        if aug[r][ncols] % qe != 0:
-            raise RankDeficient(f"inconsistent relation system mod {q}**{e}")
-    return [aug[row_at[col]][ncols] for col in range(ncols)]
+    pivots = _row_reduce(aug, ncols, q, e)
+    if len(pivots) < ncols:
+        col = min(set(range(ncols)).difference(pivots))
+        raise RankDeficient(f"no unit pivot for column {col} mod {q}**{e}")
+    if any(row[ncols] for row in aug[ncols:]):
+        raise RankDeficient(f"inconsistent relation system mod {q}**{e}")
+    return [row[ncols] for row in aug[:ncols]]
 
 
 def solve_base_logs(mat: RelationMatrix) -> list[int]:
@@ -248,24 +269,6 @@ def dlp_via_index_calculus(
 # Rank demonstrator
 
 
-def _rank_mod_prime(rows: Sequence[Sequence[int]], q: int) -> int:
-    mat = [[c % q for c in row] for row in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        mat[rank] = [c * inv % q for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % q for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class RankDemoReport:
     """One log-relation equation per base, and how they compare.
@@ -325,10 +328,10 @@ def relation_rank_demo(
         row0 = (target_logs[0],) + gen_logs[0]
         if any((u * cj - c0) % r for cj, c0 in zip(rowj, row0)):
             proportional = False
-    ranks = {
-        q: _rank_mod_prime([row for row in gen_logs], q)
-        for q, _ in factorize(r)
-    }
+    ranks = {}
+    for q, _ in factorize(r):
+        rows_mod_q = [[c % q for c in row] for row in gen_logs]
+        ranks[q] = len(_row_reduce(rows_mod_q, len(generators), q, 1))
     return RankDemoReport(
         p, orders, True, "", target_logs, gen_logs, factors, proportional, ranks
     )

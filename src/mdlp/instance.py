@@ -258,33 +258,6 @@ def truth_table(
     return [[col[k1] * pow(g2, k2, n) % n for k1 in k1s] for k2 in k2s]
 
 
-def flat_table(
-    n: int,
-    generators: Sequence[int],
-    ranges: Sequence[Sequence[int]],
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> list[tuple[tuple[int, ...], int]]:
-    """General-t enumeration: [(exponent tuple, product mod n), ...]."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if len(generators) != len(ranges):
-        raise ValueError("one exponent range per generator")
-    total = math.prod(len(list(r)) for r in ranges)
-    if total > cell_budget:
-        raise BudgetExceeded(f"{total} cells exceed budget {cell_budget}")
-    out = []
-
-    def rec(i, exps, acc):
-        if i == len(generators):
-            out.append((tuple(exps), acc))
-            return
-        for k in ranges[i]:
-            rec(i + 1, exps + [k], acc * pow(generators[i], k, n) % n)
-
-    rec(0, [], 1)
-    return out
-
-
 def reference_divergences(
     n: int, g1: int, g2: int, k1_values: Sequence[int], k2_values: Sequence[int]
 ) -> list[tuple[int, int, int, int]]:

@@ -64,10 +64,6 @@ def close(generators: Sequence[int], n: int, cap: int = DEFAULT_CAP) -> Subgroup
     return SubgroupClosure(n, gens, tuple(sorted(seen)))
 
 
-def contains(closure: SubgroupClosure, x: int) -> bool:
-    return x in closure
-
-
 class IndependenceResult(NamedTuple):
     independent: bool
     witness: Optional[tuple[int, int]]  # (generator index, exponent)

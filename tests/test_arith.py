@@ -9,103 +9,11 @@ from mdlp.arith import (
     carmichael,
     euler_phi,
     factorize,
-    gcd_lcm,
     is_probable_prime,
-    mod_inv,
-    mod_pow,
     multiplicative_order,
     primes_up_to,
 )
-from mdlp.errors import BudgetExceeded, InvalidModulus, NotAUnit, NotInvertible
-
-
-def naive_pow(base, exp, m):
-    out = 1 % m
-    for _ in range(exp):
-        out = out * base % m
-    return out
-
-
-class TestModPow:
-    def test_order_four_example(self):
-        assert mod_pow(13, 4, 35) == 1
-
-    def test_exponent_one(self):
-        assert mod_pow(19, 1, 35) == 19
-
-    def test_repeated_squaring_hand_value(self):
-        # 2**7 = 128 = 3*35 + 23
-        assert mod_pow(2, 7, 35) == 23
-
-    def test_small_modulus_rejected(self):
-        with pytest.raises(InvalidModulus):
-            mod_pow(2, 3, 1)
-        with pytest.raises(InvalidModulus):
-            mod_pow(2, 3, 0)
-
-    def test_accepts_modulus_object(self):
-        assert mod_pow(2, 7, Modulus.from_int(35)) == 23
-
-    def test_agrees_with_naive_powering(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            m = rng.randrange(2, 1 << 16)
-            base = rng.randrange(0, m)
-            exp = rng.randrange(0, 1 << 12)
-            assert mod_pow(base, exp, m) == naive_pow(base, exp, m)
-
-
-class TestModInv:
-    def test_hand_value(self):
-        # 13 * 27 = 351 = 10*35 + 1
-        assert mod_inv(13, 35) == 27
-
-    def test_identity(self):
-        for m in (2, 7, 35, 101):
-            assert mod_inv(1, m) == 1
-
-    def test_shared_factor_reports_gcd(self):
-        with pytest.raises(NotInvertible) as exc:
-            mod_inv(5, 35)
-        assert exc.value.gcd == 5
-
-    def test_product_is_one(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            m = rng.randrange(2, 10_000)
-            a = rng.randrange(1, m)
-            if math.gcd(a, m) != 1:
-                continue
-            x = mod_inv(a, m)
-            assert 1 <= x < m
-            assert a * x % m == 1
-
-
-class TestGcdLcm:
-    def test_small_example(self):
-        assert gcd_lcm(4, 6) == (2, 12)
-
-    def test_equal_arguments(self):
-        assert gcd_lcm(9, 9) == (9, 9)
-
-    def test_unit_argument(self):
-        assert gcd_lcm(1, 12) == (1, 12)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_lcm(0, 5)
-        with pytest.raises(ValueError):
-            gcd_lcm(5, 0)
-
-    def test_product_identity(self):
-        rng = random.Random(3)
-        for _ in range(500):
-            a = rng.randrange(1, 10_000)
-            b = rng.randrange(1, 10_000)
-            g, l = gcd_lcm(a, b)
-            assert g * l == a * b
-            assert a % g == 0 and b % g == 0
-            assert l % a == 0 and l % b == 0
+from mdlp.errors import BudgetExceeded, InvalidModulus, NotAUnit
 
 
 class TestFactorize:

@@ -5,7 +5,6 @@ import pytest
 
 from mdlp.congruence import (
     Congruence,
-    CongruenceSystem,
     CrtSolution,
     solvable_pair,
     solve_system,
@@ -26,11 +25,6 @@ class TestCongruence:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             Congruence(0, 0)
-
-    def test_system_nonempty(self):
-        with pytest.raises(ValueError):
-            CongruenceSystem(())
-
 
 class TestSolvablePair:
     def test_compatible(self):
@@ -70,10 +64,6 @@ class TestSolveSystem:
             solve_system(sys_)
         i, j = exc.value.pair
         assert not solvable_pair(sys_[i], sys_[j])
-
-    def test_accepts_congruence_system(self):
-        sys_ = CongruenceSystem((Congruence(3, 4), Congruence(1, 6)))
-        assert solve_system(sys_) == CrtSolution(7, 12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlp.arith import factorize, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
+    _row_reduce,
+    _solve_mod_prime_power,
     Relation,
     RelationMatrix,
     build_factor_base,
@@ -196,3 +201,69 @@ class TestRankDemo:
     def test_target_outside_group_rejected(self):
         with pytest.raises(ValueError):
             relation_rank_demo(107, [4], [3], 2)  # ord(4) = 53; 2 not in <4>
+
+
+# Largest number of candidate solutions the brute-force oracle walks.
+BRUTE_LIMIT = 4096
+
+
+@st.composite
+def systems(draw):
+    """(rows, ncols, q, e): a system A x = b over Z/q**e of up to 6 rows.
+
+    Half of the entries are multiples of q, so columns without a unit and
+    rank-deficient systems are common; half of the right-hand sides are
+    A x0 for a drawn x0, so consistent systems with many solutions are too.
+    """
+    q = draw(st.sampled_from((2, 3, 5)))
+    e = draw(st.integers(1, 3))
+    qe = q**e
+    ncols = draw(st.integers(1, 4))
+    while qe**ncols > BRUTE_LIMIT:
+        ncols -= 1
+    entry = st.one_of(
+        st.integers(0, 2 * qe - 1), st.integers(0, qe // q - 1).map(lambda k: k * q)
+    )
+    coeffs = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, qe - 1), min_size=ncols, max_size=ncols))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in coeffs]
+    else:
+        rhs = draw(st.lists(st.integers(0, qe - 1), min_size=len(coeffs), max_size=len(coeffs)))
+    return list(zip(coeffs, rhs)), ncols, q, e
+
+
+class TestRowReduction:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(systems())
+    def test_solve_matches_brute_force(self, system):
+        rows, ncols, q, e = system
+        qe = q**e
+        solutions = [
+            list(x)
+            for x in itertools.product(range(qe), repeat=ncols)
+            if all(sum(a * xi for a, xi in zip(coeffs, x)) % qe == rhs % qe for coeffs, rhs in rows)
+        ]
+        if len(solutions) == 1:
+            assert _solve_mod_prime_power(rows, ncols, q, e) == solutions[0]
+        else:
+            with pytest.raises(RankDeficient):
+                _solve_mod_prime_power(rows, ncols, q, e)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(systems())
+    def test_rank_matches_row_space(self, system):
+        rows, ncols, q, e = system
+        span = {(0,) * ncols}
+        for coeffs, _ in rows:
+            span = {
+                tuple((v + c * a) % q for v, a in zip(vec, coeffs))
+                for vec in span
+                for c in range(q)
+            }
+        rank = len(_row_reduce([[a % q for a in coeffs] for coeffs, _ in rows], ncols, q, 1))
+        assert q**rank == len(span)
+        # Unit pivots mod q**e are exactly the pivots mod q.
+        qe = q**e
+        aug = [[a % qe for a in coeffs] for coeffs, _ in rows]
+        assert len(_row_reduce(aug, ncols, q, e)) == rank

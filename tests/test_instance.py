@@ -22,7 +22,6 @@ from mdlp.instance import (
     VERDICT_RESISTS,
     check_collapse_resistance,
     check_peel_resistance,
-    flat_table,
     from_json_dict,
     generate,
     hardness_report,
@@ -233,14 +232,6 @@ class TestTruthTable:
 
     def test_divergences_other_parameters_empty(self):
         assert reference_divergences(77, 13, 19, range(1, 5), range(1, 5)) == []
-
-    def test_flat_table_matches_grid(self):
-        flat = dict(flat_table(35, [13, 19], [range(1, 5), range(1, 4)]))
-        rows = truth_table(35, 13, 19, range(1, 5), range(1, 4))
-        for i2, k2 in enumerate(range(1, 4)):
-            for i1, k1 in enumerate(range(1, 5)):
-                assert flat[(k1, k2)] == rows[i2][i1]
-
 
 class TestUniquenessAndDegeneracy:
     def test_unique_witness_small_sweep(self):
