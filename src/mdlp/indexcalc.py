@@ -26,7 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Modulus, is_probable_prime, multiplicative_order, primes_up_to, factorize
+from .arith import Factorization, Modulus, factorize, is_probable_prime
+from .arith import multiplicative_order, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
 from .solvers import DlpTask, solve_dlp
@@ -226,7 +227,7 @@ def dlp_via_index_calculus(
         raise ValueError("alpha and beta must be units mod p")
     alpha %= p
     beta %= p
-    n = multiplicative_order(alpha, Modulus.from_int(p))
+    n = multiplicative_order(alpha, Modulus.from_factorization(Factorization(((p, 1),))))
     fb = build_factor_base(p, bound)
 
     logs = None

@@ -2,10 +2,9 @@
 
 Five routes to the witness tuple of an instance:
 
-* exhaustive scan of the exponent box, lexicographic order, optionally
-  skipping the diagonal tuples (k mod r_1, ..., k mod r_t);
-* meet-in-the-middle over the same box (table on the first half of the
-  generators, scan over the second half);
+* exhaustive scan of the exponent box in lexicographic order;
+* meet-in-the-middle over the same box (table on the second half of the
+  generators, walk over the first half);
 * single-DLP solving by Pohlig-Hellman decomposition with baby-step
   giant-step per prime power (the classical stand-in for a quantum
   period-finder throughout this package);
@@ -18,19 +17,19 @@ Five routes to the witness tuple of an instance:
 
 Every returned Solution is verified against the instance before it leaves
 this module, by a check that also runs under ``python -O``. Work counters
-tally group operations (modular multiplications and powerings); for box
-scans they count the tuples a tuple-by-tuple lexicographic scan would
-examine, which the table lookups derive exactly from the hit position.
+tally group operations (modular multiplications and powerings). The
+exhaustive and peel scans count the tuples a tuple-by-tuple lexicographic
+scan would examine, derived exactly from the hit position; meet-in-the-middle
+counts the sizes of both halves, not the tuples scanned.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .arith import Modulus, factorize, multiplicative_order
+from .arith import Factorization, Modulus, factorize, multiplicative_order
 from .congruence import Congruence, CrtSolution, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
@@ -181,8 +180,8 @@ def _prefix_products(rows: Sequence[Sequence[int]], n: int, acc: int = 1) -> Ite
     tuple, in lexicographic order; no rows yields acc once.
 
     The one box odometer: each value is its parent prefix times one row
-    entry. Callers pass every axis but the last and loop over that one
-    themselves, so no tuple costs a generator resume.
+    entry. ``_first_hit`` uses it twice, once to build its table over the
+    trailing axes and once to walk the leading axes from beta.
     """
     if not rows:
         yield acc
@@ -202,89 +201,47 @@ def _decode(pos: int, box: Sequence[range]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _box_hits(inst: Instance, box: Sequence[range]) -> Iterator[int]:
-    """Ascending positions of the tuples in the box whose product is beta.
+def _first_hit(inst: Instance, box: Sequence[range], split: int) -> Optional[int]:
+    """Lexicographic position of the first tuple in the box whose product
+    is beta, or None.
 
-    Shanks' split: the last generator's powers over its range go in a
-    dict, the other axes are walked as prefix products of inverse powers
-    starting from beta, and each prefix is looked up. The last range lies
-    in [0, r_t) and r_t is the exact order, so its powers are distinct and
-    each prefix has at most one hit.
+    Shanks' split: the products over ``box[split:]`` go in a table that
+    maps each value to its first position, and the axes ``box[:split]``
+    are walked in lexicographic order as prefix products of inverse powers
+    starting from beta, each looked up in the table. The first prefix that
+    hits holds the smallest tuple.
     """
     n = inst.n
-    *head, last = box
-    where = {v: j for j, v in enumerate(_power_row(inst.generators[-1], last, n))}
-    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(inst.generators, head)]
-    width = len(last)
+    gens = inst.generators
+    table: dict[int, int] = {}
+    rows = [_power_row(g, ks, n) for g, ks in zip(gens[split:], box[split:])]
+    for j, v in enumerate(_prefix_products(rows, n)):
+        table.setdefault(v, j)  # dependent generators can repeat a value
+    width = math.prod(len(ks) for ks in box[split:])
+    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(gens, box[:split])]
     for i, q in enumerate(_prefix_products(inv_rows, n, inst.beta)):
-        j = where.get(q)
+        j = table.get(q)
         if j is not None:
-            yield i * width + j
+            return i * width + j
+    return None
 
 
-def _diagonal_indices(orders: Sequence[int]) -> list[int]:
-    """Sorted scan indices of the tuples (k mod r_1, ..., k mod r_t)."""
-    lcm = math.lcm(*orders)
-    out = set()
-    for k in range(lcm):
-        idx = 0
-        for r, d in zip(orders, split_exponent(k, orders)):
-            idx = idx * r + d
-        out.add(idx)
-    return sorted(out)
-
-
-def solve_exhaustive(
-    inst: Instance,
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    skip_diagonal: bool = False,
-) -> Optional[Solution]:
+def solve_exhaustive(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[Solution]:
     """Lexicographically smallest exponent tuple mapping to beta, or None.
 
     Walks the first t-1 exponents and looks the last one up in a table of
     its generator's powers. ``work`` is the number of box tuples up to and
-    including the hit in lexicographic order (the whole box on a miss),
-    i.e. what a tuple-by-tuple scan would examine. ``skip_diagonal``
-    leaves out the lcm(r_i) diagonal tuples first and only walks the
-    diagonal (as powers of the product generator) when the box scan
-    misses; the reported work excludes the skipped tuples either way.
+    including the hit in lexicographic order, i.e. what a tuple-by-tuple
+    scan would examine.
     """
-    radices = inst.orders
-    total = math.prod(radices)
-    if total > budget:
-        raise BudgetExceeded(f"exhaustive box of {total} tuples exceeds budget {budget}")
-    box = [range(r) for r in radices]
-    diag = _diagonal_indices(radices) if skip_diagonal else []
-    skip = frozenset(diag)
-    hit = next((pos for pos in _box_hits(inst, box) if pos not in skip), None)
-    if hit is not None:
-        work = hit + 1 - bisect_right(diag, hit)
-        return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, work)
-
-    work = total - len(diag)
-    if skip_diagonal:
-        # The answer may live on the skipped diagonal: walk it as powers
-        # of the product of all generators.
-        g_all = 1
-        for g in inst.generators:
-            g_all = g_all * g % inst.n
-        cur = 1
-        for k in range(math.lcm(*radices)):
-            work += 1
-            if cur == inst.beta:
-                return _checked(inst, split_exponent(k, radices), METHOD_EXHAUSTIVE, work)
-            cur = cur * g_all % inst.n
-    return None
-
-
-def find_all_solutions(inst: Instance, budget: int = DEFAULT_SEARCH_BUDGET) -> list[tuple[int, ...]]:
-    """Every exponent tuple in the box mapping to beta (uniqueness probe)."""
     total = math.prod(inst.orders)
     if total > budget:
-        raise BudgetExceeded(f"{total} tuples exceed budget {budget}")
+        raise BudgetExceeded(f"exhaustive box of {total} tuples exceeds budget {budget}")
     box = [range(r) for r in inst.orders]
-    return [_decode(pos, box) for pos in _box_hits(inst, box)]
+    hit = _first_hit(inst, box, inst.t - 1)
+    if hit is None:
+        return None
+    return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, hit + 1)
 
 
 def solve_mitm(
@@ -295,43 +252,25 @@ def solve_mitm(
 ) -> Optional[Solution]:
     """Meet-in-the-middle over the exponent box; same answer as exhaustive.
 
-    Tabulates partial products over the first ceil(t/2) generators, then
-    scans the remaining half, matching beta * (right half)**-1 against the
-    table. Returns the lexicographically smallest matching tuple.
+    Tabulates the products over the last t - ceil(t/2) generators, then
+    walks the first ceil(t/2), looking beta * (first half)**-1 up in the
+    table. ``memory_cap`` bounds the table and ``work`` is the size of
+    both halves.
     """
-    n = inst.n
     h = (inst.t + 1) // 2
-    box = [range(r) for r in inst.orders]
     left_total = math.prod(inst.orders[:h])
     right_total = math.prod(inst.orders[h:])
-    if left_total > memory_cap:
-        raise BudgetExceeded(f"mitm table of {left_total} entries exceeds cap {memory_cap}")
+    if right_total > memory_cap:
+        raise BudgetExceeded(f"mitm table of {right_total} entries exceeds cap {memory_cap}")
     if left_total + right_total > budget:
         raise BudgetExceeded(
             f"mitm scan of {left_total + right_total} candidates exceeds budget {budget}"
         )
-
-    # Left half: value -> first (lexicographically smallest) position.
-    *head, last = [_power_row(g, ks, n) for g, ks in zip(inst.generators, box[:h])]
-    table: dict[int, int] = {}
-    for i, p in enumerate(_prefix_products(head, n)):
-        for pos, x in enumerate(last, i * len(last)):
-            table.setdefault(p * x % n, pos)
-
-    # Right half, with inverse powers; for t = 1 it is one empty product.
-    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(inst.generators[h:], box[h:])]
-    *head, last = inv_rows or [[1]]
-    best: Optional[tuple[int, int]] = None
-    for i, q in enumerate(_prefix_products(head, n, inst.beta)):
-        for pos, x in enumerate(last, i * len(last)):
-            lidx = table.get(q * x % n)
-            if lidx is not None and (best is None or lidx < best[0]):
-                best = (lidx, pos)
-
-    if best is None:
+    box = [range(r) for r in inst.orders]
+    hit = _first_hit(inst, box, h)
+    if hit is None:
         return None
-    exps = _decode(best[0], box[:h]) + _decode(best[1], box[h:])
-    return _checked(inst, exps, METHOD_MITM, left_total + right_total)
+    return _checked(inst, _decode(hit, box), METHOD_MITM, left_total + right_total)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +328,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
     """
     ops = [0]
     congruences: dict[int, CrtSolution] = {}
-    candidate_sets: list[range] = []
-    for i, (g, r) in enumerate(zip(inst.generators, inst.orders)):
+    for i, g in enumerate(inst.generators):
         entries = []
         for p in inst.modulus.factorization.primes:
             if any(inst.generators[l] % p != 1 for l in range(inst.t) if l != i):
@@ -398,36 +336,41 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
             h = g % p
             if h == 1 or p < 3:
                 continue
-            local_order = multiplicative_order(h, Modulus.from_int(p))
+            prime = Modulus.from_factorization(Factorization(((p, 1),)))
+            local_order = multiplicative_order(h, prime)
             x = solve_dlp(DlpTask(h, inst.beta % p, p, local_order), ops)
             if x is None:
                 continue
             entries.append(Congruence(x, local_order))
         if entries:
             try:
-                merged = solve_system(entries)
+                congruences[i] = solve_system(entries)
             except UnsolvableSystem:
-                candidate_sets.append(range(r))
-                continue
-            congruences[i] = merged
-            candidate_sets.append(range(merged.residue % merged.modulus, r, merged.modulus))
-        else:
-            candidate_sets.append(range(r))
+                pass  # conflicting residues pin nothing
 
     if not congruences:
         return PeelResult("not-applicable", {}, None, ops[0])
 
-    remaining = math.prod(len(c) for c in candidate_sets)
+    box = _peel_box(inst.orders, congruences)
+    remaining = math.prod(len(ks) for ks in box)
     if remaining > budget:
         return PeelResult("partial", congruences, None, ops[0])
 
     # Work counts the candidate tuples a lexicographic walk would examine.
-    hit = next(_box_hits(inst, candidate_sets), None)
+    hit = _first_hit(inst, box, inst.t - 1)
     if hit is None:
         return PeelResult("not-found", congruences, None, ops[0] + remaining)
     work = ops[0] + hit + 1
-    sol = _checked(inst, _decode(hit, candidate_sets), METHOD_PEEL, work)
+    sol = _checked(inst, _decode(hit, box), METHOD_PEEL, work)
     return PeelResult("solved", congruences, sol, work)
+
+
+def _peel_box(orders: Sequence[int], congruences: dict[int, CrtSolution]) -> list[range]:
+    """The exponent box with each pinned k_i restricted to its residue class."""
+    return [
+        range(congruences[i].residue, r, congruences[i].modulus) if i in congruences else range(r)
+        for i, r in enumerate(orders)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +401,11 @@ def solve(
     if strategy == "collapse":
         return attack_collapse(inst)
     if strategy == "peel":
-        return attack_peel(inst, budget=budget).solution
+        peel = attack_peel(inst, budget=budget)
+        if peel.status == "partial":
+            remaining = math.prod(len(ks) for ks in _peel_box(inst.orders, peel.congruences))
+            raise BudgetExceeded(f"peel box of {remaining} tuples exceeds budget {budget}")
+        return peel.solution
 
     diagnostics: dict[str, str] = {}
     sol = attack_collapse(inst)

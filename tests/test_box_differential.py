@@ -11,13 +11,15 @@ import itertools
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdlp import solvers
 from mdlp.congruence import Congruence, solve_system
 from mdlp.instance import make_instance
-from mdlp.solvers import attack_peel, find_all_solutions, solve_exhaustive, solve_mitm
+from mdlp.errors import BudgetExceeded
+from mdlp.solvers import attack_peel, solve_exhaustive, solve_mitm
 
 # Pairwise coprime components of each modulus: squarefree N, prime-power
 # factors and even N with its non-cyclic 2-part.
@@ -66,11 +68,20 @@ def instances(draw):
     return make_instance(n, gens, beta=beta, check_independence=False)
 
 
-def differential(test):
-    """Run ``test`` on EDGE_CASES and on drawn instances, reproducibly."""
-    for inst in EDGE_CASES:
-        test = example(inst)(test)
-    return settings(max_examples=100, deadline=None, derandomize=True)(given(instances())(test))
+def differential(*extra):
+    """Run a test on EDGE_CASES and on drawn instances, reproducibly.
+
+    Each of ``extra`` is a (strategy, edge-case value) pair for one more
+    argument after the instance.
+    """
+
+    def wrap(test):
+        for inst in EDGE_CASES:
+            test = example(inst, *(value for _, value in extra))(test)
+        drawn = given(instances(), *(strategy for strategy, _ in extra))
+        return settings(max_examples=100, deadline=None, derandomize=True)(drawn(test))
+
+    return wrap
 
 
 def _gives_beta(inst, exponents) -> bool:
@@ -93,7 +104,7 @@ def _full_box(inst):
     return [range(r) for r in inst.orders]
 
 
-@differential
+@differential()
 def test_exhaustive_matches_oracle(inst):
     hits = _lexicographic_hits(inst, _full_box(inst))
     sol = solve_exhaustive(inst)
@@ -103,52 +114,25 @@ def test_exhaustive_matches_oracle(inst):
         assert (sol.work, sol.exponents) == hits[0]
 
 
-@differential
-def test_exhaustive_skip_diagonal_matches_oracle(inst):
-    lcm = math.lcm(*inst.orders)
-    diagonal = {tuple(k % r for r in inst.orders) for k in range(lcm)}
-    examined = 0
-    expected = None
-    for ks in itertools.product(*_full_box(inst)):
-        if ks in diagonal:
-            continue
-        examined += 1
-        if _gives_beta(inst, ks):
-            expected = (examined, ks)
-            break
-    else:
-        for k in range(lcm):
-            examined += 1
-            ks = tuple(k % r for r in inst.orders)
-            if _gives_beta(inst, ks):
-                expected = (examined, ks)
-                break
-    sol = solve_exhaustive(inst, skip_diagonal=True)
-    if expected is None:
-        assert sol is None
-    else:
-        assert (sol.work, sol.exponents) == expected
-
-
-@differential
-def test_find_all_matches_oracle(inst):
+@differential((st.integers(1, 100), MAX_BOX))
+# r1 * r2 = 24 > cap >= r3 = 2: the table spans only the last generator
+@example(make_instance(35, [13, 19, 29], witness=(3, 1, 1), check_independence=False), 2)
+def test_mitm_matches_oracle(inst, memory_cap):
+    h = (inst.t + 1) // 2
+    if math.prod(inst.orders[h:]) > memory_cap:
+        with pytest.raises(BudgetExceeded):
+            solve_mitm(inst, memory_cap=memory_cap)
+        return
     hits = _lexicographic_hits(inst, _full_box(inst))
-    assert find_all_solutions(inst) == [ks for _, ks in hits]
-
-
-@differential
-def test_mitm_matches_oracle(inst):
-    hits = _lexicographic_hits(inst, _full_box(inst))
-    sol = solve_mitm(inst)
+    sol = solve_mitm(inst, memory_cap=memory_cap)
     if not hits:
         assert sol is None
     else:
-        h = (inst.t + 1) // 2
         assert sol.exponents == hits[0][1]
         assert sol.work == math.prod(inst.orders[:h]) + math.prod(inst.orders[h:])
 
 
-@differential
+@differential()
 def test_peel_matches_oracle(inst):
     dlp_work = [0]
     real_solve_dlp = solvers.solve_dlp

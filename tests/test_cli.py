@@ -137,6 +137,15 @@ class TestSolve:
         assert code == 3
         assert "diagnostics" in doc["result"]
 
+    def test_peel_over_budget_exit_three(self, capsys, tmp_path):
+        # 211 = 1 mod 35 and 353 = 1 mod 11, so peel applies
+        path = tmp_path / "peelable.json"
+        path.write_text(dumps(make_instance(385, [211, 353], witness=(7, 5))))
+        code, doc = run_json(capsys, "solve", str(path), "--strategy", "peel", "--budget", "0")
+        assert code == 3
+        assert doc["exit_status"] == 3
+        assert "exceeds budget 0" in doc["error"]
+
 
 class TestTable:
     def test_published_cells_csv(self, capsys):

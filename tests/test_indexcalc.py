@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlp import arith
 from mdlp.arith import factorize, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
@@ -130,6 +132,17 @@ class TestDlpViaIndexCalculus:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             dlp_via_index_calculus(107, 107, 61, bound=7)
+
+    def test_known_prime_is_not_factored_again(self):
+        real = arith.factorize
+
+        def guarded(n, *args, **kwargs):
+            if n == 107:
+                raise AssertionError("prime 107 factored again")
+            return real(n, *args, **kwargs)
+
+        with mock.patch.object(arith, "factorize", guarded):
+            assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
 
     def test_deterministic(self):
         a = dlp_via_index_calculus(10007, 5, 1234, bound=30, seed=4)

@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import mdlp
+from mdlp import arith
 from mdlp.arith import Modulus, multiplicative_order
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import AllMethodsExhausted, BudgetExceeded
@@ -16,7 +18,6 @@ from mdlp.solvers import (
     DlpTask,
     attack_collapse,
     attack_peel,
-    find_all_solutions,
     solve,
     solve_dlp,
     solve_exhaustive,
@@ -119,24 +120,6 @@ class TestSolveExhaustive:
         with pytest.raises(BudgetExceeded):
             solve_exhaustive(worked_example, budget=10)
 
-    def test_skip_diagonal_still_finds_diagonal_answer(self, worked_example):
-        # (3, 1) is the diagonal tuple of k = 7
-        sol = solve_exhaustive(worked_example, skip_diagonal=True)
-        assert sol.exponents == (3, 1)
-        lcm = math.lcm(*worked_example.orders)
-        box = math.prod(worked_example.orders)
-        assert sol.work <= box - lcm + lcm
-
-    def test_skip_diagonal_off_diagonal_answer(self):
-        inst = make_instance(35, [13, 19], witness=(1, 0))
-        sol = solve_exhaustive(inst, skip_diagonal=True)
-        assert sol.exponents == (1, 0)
-        lcm = math.lcm(*inst.orders)
-        assert sol.work <= math.prod(inst.orders) - lcm
-
-    def test_find_all_unique_on_independent_instance(self, worked_example):
-        assert find_all_solutions(worked_example) == [(3, 1)]
-
 
 class TestSolveMitm:
     def test_worked_example(self, worked_example):
@@ -236,6 +219,24 @@ class TestAttackPeel:
         assert res.solution is None
         assert res.congruences
 
+    def test_solve_peel_over_budget_raises(self):
+        # over budget is not "not found": None would read as a definite miss
+        inst = peelable_instance()
+        with pytest.raises(BudgetExceeded, match="peel box of 1 tuples exceeds budget 0"):
+            solve(inst, "peel", budget=0)
+
+    def test_known_prime_is_not_factored_again(self):
+        inst = peelable_instance()
+        real = arith.factorize
+
+        def guarded(n, *args, **kwargs):
+            if n in inst.modulus.factorization.primes:
+                raise AssertionError(f"prime {n} factored again")
+            return real(n, *args, **kwargs)
+
+        with mock.patch.object(arith, "factorize", guarded):
+            assert attack_peel(inst).solution.exponents == inst.witness
+
     def test_not_found_outside_span(self):
         # beta = 19 is not in <13>; the leaked congruences cover [0, 4)
         inst = make_instance(35, [13], beta=19)
@@ -302,10 +303,12 @@ s.verify = lambda inst, exponents: False
 inst = make_instance(35, [13, 19], witness=(3, 1))
 # 211 = 1 mod 35 and 353 = 1 mod 11, so peel applies (see peelable_instance)
 peelable = make_instance(385, [211, 353], witness=(7, 5))
+# t = 4, so the MITM table spans two axes
+four = make_instance(35, [13, 19, 13, 19], witness=(3, 1, 2, 5), check_independence=False)
 calls = [
     lambda: s.solve_exhaustive(inst),
-    lambda: s.solve_exhaustive(inst, skip_diagonal=True),
     lambda: s.solve_mitm(inst),
+    lambda: s.solve_mitm(four),
     lambda: s.attack_collapse(inst),
     lambda: s.attack_peel(peelable),
 ]
