@@ -1,9 +1,10 @@
 """Exact modular arithmetic over Python's native big integers.
 
 Integer factorization (trial division plus Brent's cycle variant of
-Pollard rho), primality testing, Carmichael and Euler totients, and
-multiplicative order computation. Everything here is a pure function
-over immutable values.
+Pollard rho), primality testing, the Carmichael function, multiplicative
+order computation, and the baby-step giant-step logarithm in a subgroup of
+prime-power order that both the solvers and the independence check use.
+Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 
@@ -197,13 +200,6 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def euler_phi(factorization: Factorization) -> int:
-    out = 1
-    for p, a in factorization:
-        out *= p ** (a - 1) * (p - 1)
-    return out
-
-
 def carmichael(factorization: Factorization) -> int:
     """Exponent of the unit group: lcm of the prime-power components."""
     out = 1
@@ -218,12 +214,11 @@ def carmichael(factorization: Factorization) -> int:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus n >= 2 together with its factorization and totients."""
+    """A modulus n >= 2 together with its factorization and lambda(n)."""
 
     n: int
     factorization: Factorization
     carmichael: int
-    euler: int
 
     @classmethod
     def from_factorization(cls, factorization: Factorization) -> "Modulus":
@@ -233,13 +228,31 @@ class Modulus:
         for p, _ in factorization:
             if not is_probable_prime(p):
                 raise InvalidModulus(f"listed factor {p} is not prime")
-        return cls(n, factorization, carmichael(factorization), euler_phi(factorization))
+        return cls(n, factorization, carmichael(factorization))
 
     @classmethod
     def from_int(cls, n: int, **factorize_kwargs) -> "Modulus":
         if n < 2:
             raise InvalidModulus(f"modulus must be >= 2, got {n}")
         return cls.from_factorization(factorize(n, **factorize_kwargs))
+
+    @cached_property
+    def carmichael_primes(self) -> tuple[int, ...]:
+        """The primes of lambda(n), ascending, factored once per modulus.
+
+        They are the primes of each p - 1, each p with a >= 2, and 2 when
+        4 | n; each p - 1 is far smaller than lambda(n) itself.
+        """
+        primes: set[int] = set()
+        for p, a in self.factorization:
+            if p == 2:
+                if a >= 2:
+                    primes.add(2)
+                continue
+            if a >= 2:
+                primes.add(p)
+            primes.update(factorize(p - 1).primes)
+        return tuple(sorted(primes))
 
 
 def as_modulus(m) -> Modulus:
@@ -249,8 +262,8 @@ def as_modulus(m) -> Modulus:
 def multiplicative_order(g: int, m) -> int:
     """Smallest r >= 1 with g**r == 1 mod m.
 
-    Always recomputed: start from lambda(n) and strip prime factors while
-    the power stays 1. Never taken on faith from a caller.
+    Always recomputed: start from lambda(n) and strip its primes while the
+    power stays 1. Never taken on faith from a caller.
     """
     mod = as_modulus(m)
     n = mod.n
@@ -259,7 +272,51 @@ def multiplicative_order(g: int, m) -> int:
     if gcd != 1:
         raise NotAUnit(g, n, gcd)
     r = mod.carmichael
-    for p, _ in factorize(r) if r > 1 else ():
+    for p in mod.carmichael_primes:
         while r % p == 0 and pow(g, r // p, n) == 1:
             r //= p
     return r
+
+
+# ---------------------------------------------------------------------------
+# Logarithms in a subgroup of prime-power order
+
+
+def _bsgs(base: int, target: int, modulus: int, order: int, ops: list[int]) -> Optional[int]:
+    """Smallest x in [0, order) with base**x = target, or None."""
+    base %= modulus
+    target %= modulus
+    if order == 1 or base == 1:
+        return 0 if target == 1 % modulus else None
+    m = math.isqrt(order - 1) + 1
+    table = {}
+    cur = 1
+    for j in range(m):
+        table.setdefault(cur, j)
+        cur = cur * base % modulus
+    ops[0] += m
+    stride = pow(cur, -1, modulus)  # cur == base**m at this point
+    cur_t = target
+    for i in range(m):
+        ops[0] += 1
+        j = table.get(cur_t)
+        if j is not None:
+            return (i * m + j) % order
+        cur_t = cur_t * stride % modulus
+    return None
+
+
+def _prime_power_log(
+    base: int, target: int, modulus: int, q: int, e: int, ops: list[int]
+) -> Optional[int]:
+    """Digit-by-digit log in the subgroup of order q**e."""
+    gamma = pow(base, q ** (e - 1), modulus)  # order q (or 1)
+    x = 0
+    for j in range(e):
+        h = pow(target * pow(base, -x, modulus) % modulus, q ** (e - 1 - j), modulus)
+        ops[0] += 2
+        d = _bsgs(gamma, h, modulus, q, ops)
+        if d is None:
+            return None
+        x += d * q**j
+    return x

@@ -23,11 +23,6 @@ class BudgetExceeded(MdlpError):
     """A configured work budget ran out before the operation finished."""
 
 
-class CapacityExceeded(BudgetExceeded):
-    """Subgroup closure grew past the element cap; the question is
-    undecidable at this cap, which is distinct from a negative answer."""
-
-
 class GenerationFailed(BudgetExceeded):
     """Rejection sampling exhausted its attempt budget."""
 

@@ -23,17 +23,11 @@ from .arith import (
     Factorization,
     Modulus,
     as_modulus,
-    factorize,
     is_probable_prime,
     multiplicative_order,
 )
 from .congruence import Congruence, CrtSolution, solve_system
-from .errors import (
-    BudgetExceeded,
-    CapacityExceeded,
-    GenerationFailed,
-    IndependenceViolation,
-)
+from .errors import BudgetExceeded, GenerationFailed, IndependenceViolation
 
 SCHEMA_VERSION = 1
 DEFAULT_CELL_BUDGET = 1 << 14
@@ -71,7 +65,6 @@ def make_instance(
     witness: Optional[Sequence[int]] = None,
     beta: Optional[int] = None,
     *,
-    cap: int = subgroup.DEFAULT_CAP,
     check_independence: bool = True,
     provenance: Optional[dict] = None,
 ) -> Instance:
@@ -79,9 +72,10 @@ def make_instance(
 
     Exactly one of ``witness`` / ``beta`` may be omitted: with a witness,
     beta is evaluated (and cross-checked if also supplied); without one,
-    beta must be given. Raises NotAUnit for bad generators,
-    IndependenceViolation (with the offending power) for dependent ones,
-    and propagates CapacityExceeded from oversize closures.
+    beta must be given. Raises NotAUnit for bad generators and
+    IndependenceViolation (with the offending power) for dependent ones.
+    ``check_independence=False`` is for callers that build independent
+    generators by construction, such as CRT-built instances.
     """
     if isinstance(modulus_or_n, Factorization):
         modulus = Modulus.from_factorization(modulus_or_n)
@@ -111,7 +105,7 @@ def make_instance(
 
     verified = False
     if check_independence:
-        res = subgroup.independence_check(gens, n, cap)
+        res = subgroup.independence_check(gens, modulus, orders)
         if not res.independent:
             raise IndependenceViolation(res.witness)
         verified = True
@@ -338,10 +332,18 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
     return Modulus.from_factorization(Factorization(tuple(sorted(counts.items()))))
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, primes: Sequence[int]) -> list[int]:
+    """All divisors of n, ascending; ``primes`` must hold every prime of n."""
     out = [1]
-    for p, a in factorize(n) if n > 1 else ():
-        out = [d * p**e for d in out for e in range(a + 1)]
+    for p in primes:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out = [d * p**e for d in out for e in range(a + 1)]
+    if n != 1:
+        raise ValueError(f"primes {tuple(primes)} leave the factor {n}")
     return sorted(out)
 
 
@@ -354,7 +356,6 @@ def generate(
     require_peel_resistant: Optional[bool] = None,
     max_order_product: Optional[int] = None,
     max_attempts: int = 4000,
-    cap: int = subgroup.DEFAULT_CAP,
 ) -> Instance:
     """Rejection-sample a valid instance, deterministically in ``seed``.
 
@@ -386,7 +387,7 @@ def generate(
                 if math.gcd(u, n) != 1:
                     continue
                 r = multiplicative_order(u, modulus)
-                opts = [d for d in _divisors(r) if 2 <= d <= cap_each]
+                opts = [d for d in _divisors(r, modulus.carmichael_primes) if 2 <= d <= cap_each]
                 if not opts:
                     continue
                 # two draws, keep the larger: biases toward roomier boxes
@@ -407,7 +408,6 @@ def generate(
                 modulus,
                 gens,
                 witness=[rng.randrange(r) for r in orders],
-                cap=cap,
                 provenance={
                     "seed": seed,
                     "bits": bits,
@@ -423,7 +423,7 @@ def generate(
                     },
                 },
             )
-        except (IndependenceViolation, CapacityExceeded):
+        except IndependenceViolation:
             continue
         report = hardness_report(inst)
         if (
@@ -460,11 +460,12 @@ def to_json_dict(inst: Instance) -> dict:
     return doc
 
 
-def from_json_dict(doc: dict, *, check_independence: bool = False) -> Instance:
+def from_json_dict(doc: dict) -> Instance:
     """Parse and revalidate an instance document.
 
-    Orders are recomputed and beta is re-evaluated against any witness, so
-    a tampered document fails here rather than downstream.
+    Orders are recomputed, generator independence is checked and beta is
+    re-evaluated against any witness, so a tampered or dependent document
+    fails here rather than downstream.
     """
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
@@ -489,7 +490,6 @@ def from_json_dict(doc: dict, *, check_independence: bool = False) -> Instance:
         gens,
         witness=witness,
         beta=beta,
-        check_independence=check_independence,
         provenance=doc.get("provenance"),
     )
     if inst.orders != listed_orders:
@@ -507,5 +507,5 @@ def dumps(inst: Instance) -> str:
     return json.dumps(to_json_dict(inst), indent=2)
 
 
-def loads(text: str, **kwargs) -> Instance:
-    return from_json_dict(json.loads(text), **kwargs)
+def loads(text: str) -> Instance:
+    return from_json_dict(json.loads(text))

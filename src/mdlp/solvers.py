@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .arith import Factorization, Modulus, factorize, multiplicative_order
+from .arith import Factorization, Modulus, _prime_power_log, factorize, multiplicative_order
 from .congruence import Congruence, CrtSolution, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
@@ -76,46 +76,6 @@ class DlpTask:
 
 # ---------------------------------------------------------------------------
 # Single DLP: baby-step giant-step under Pohlig-Hellman
-
-
-def _bsgs(base: int, target: int, modulus: int, order: int, ops: list[int]) -> Optional[int]:
-    """Smallest x in [0, order) with base**x = target, or None."""
-    base %= modulus
-    target %= modulus
-    if order == 1 or base == 1:
-        return 0 if target == 1 % modulus else None
-    m = math.isqrt(order - 1) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * base % modulus
-    ops[0] += m
-    stride = pow(cur, -1, modulus)  # cur == base**m at this point
-    cur_t = target
-    for i in range(m):
-        ops[0] += 1
-        j = table.get(cur_t)
-        if j is not None:
-            return (i * m + j) % order
-        cur_t = cur_t * stride % modulus
-    return None
-
-
-def _prime_power_log(
-    base: int, target: int, modulus: int, q: int, e: int, ops: list[int]
-) -> Optional[int]:
-    """Digit-by-digit log in the subgroup of order q**e."""
-    gamma = pow(base, q ** (e - 1), modulus)  # order q (or 1)
-    x = 0
-    for j in range(e):
-        h = pow(target * pow(base, -x, modulus) % modulus, q ** (e - 1 - j), modulus)
-        ops[0] += 2
-        d = _bsgs(gamma, h, modulus, q, ops)
-        if d is None:
-            return None
-        x += d * q**j
-    return x
 
 
 def solve_dlp(task: DlpTask, ops: Optional[list[int]] = None) -> Optional[int]:

@@ -1,67 +1,21 @@
-"""Multiplicative subgroups of Z_N*: closure, membership, independence.
+"""Independence of generators in Z_N*, decided prime by prime.
 
-Closures are enumerated breadth-first under generator multiplication, so
-they are exact; a configurable element cap keeps large instances honest by
-raising CapacityExceeded ("undecidable at this cap") instead of guessing.
+For each prime q of lcm(r_i), every generator is projected into the
+q-Sylow subgroup of each cyclic factor of Z_N* (Z_{p^a}* for odd p, and
+<-1> x <5> for 2^a) and its logarithm there is taken by baby-step
+giant-step, digit by digit (Pohlig-Hellman). The q-part H_q of
+H = <g_1, ..., g_t> is then the span of the log columns, and |H_q| is read
+from their Smith valuations mod q^e. No subgroup element is enumerated.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapacityExceeded, NotAUnit
-
-DEFAULT_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class SubgroupClosure:
-    """Full element set of <generators> mod modulus, sorted ascending."""
-
-    modulus: int
-    generators: tuple[int, ...]
-    elements: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        i = bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
-
-
-def close(generators: Sequence[int], n: int, cap: int = DEFAULT_CAP) -> SubgroupClosure:
-    """Enumerate the subgroup generated by ``generators`` mod n.
-
-    An empty generator list yields the trivial group {1}.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    gens = tuple(g % n for g in generators)
-    for g in gens:
-        d = math.gcd(g, n)
-        if d != 1:
-            raise NotAUnit(g, n, d)
-    seen = {1 % n}
-    frontier = [1 % n]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g % n
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise CapacityExceeded(
-                            f"closure of {gens} mod {n} exceeds cap {cap}"
-                        )
-                    nxt.append(y)
-        frontier = nxt
-    return SubgroupClosure(n, gens, tuple(sorted(seen)))
+from .arith import Modulus, _prime_power_log, as_modulus, multiplicative_order
+from .errors import NotAUnit
 
 
 class IndependenceResult(NamedTuple):
@@ -69,23 +23,141 @@ class IndependenceResult(NamedTuple):
     witness: Optional[tuple[int, int]]  # (generator index, exponent)
 
 
+def _valuation(x: int, q: int) -> int:
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
+
+
+def _checked_log(base: int, y: int, m: int, q: int, e: int, ops: list[int]) -> int:
+    """log of y to ``base`` (of order q**e) mod m, re-checked by powering.
+
+    An explicit check rather than an assert, so it also runs under
+    ``python -O``.
+    """
+    if y == 1:
+        return 0
+    x = _prime_power_log(base, y, m, q, e, ops)
+    if x is None or pow(base, x, m) != y:
+        raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{e}")
+    return x
+
+
+def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int, ops: list[int]) -> list[list[int]]:
+    """One row per cyclic factor of the q-Sylow subgroup of Z_N*.
+
+    Entry i is the log of g_i's projection into that factor. A factor of
+    order q^F is cut to its subgroup of order q^f, f = min(F, e), which
+    holds every projection because g_i**(q**e) has no q-part; the entry
+    is scaled by q^(e - f), so every row lives in Z/q^e.
+    """
+    rows = []
+    for p, a in mod.factorization:
+        m = p**a
+        ys = [g % m for g in gens]
+        if p == 2:
+            if q != 2 or a == 1:
+                continue
+            # (Z/2^a)* = <-1> x <5>: y = (-1)**s * 5**x with s = 0 iff y = 1 mod 4.
+            rows.append([(y % 4 != 1) << (e - 1) for y in ys])
+            if a >= 3:
+                f = min(a - 2, e)
+                base = pow(5, 2 ** (a - 2 - f), m)
+                zs = [y if y % 4 == 1 else m - y for y in ys]
+                rows.append([_checked_log(base, z, m, 2, f, ops) << (e - f) for z in zs])
+            continue
+        phi = p ** (a - 1) * (p - 1)
+        big_f = _valuation(phi, q)
+        if big_f == 0:
+            continue
+        cof = phi // q**big_f
+        ys = [pow(y, cof, m) for y in ys]
+        if all(y == 1 for y in ys):
+            continue  # a zero row spans nothing
+        f = min(big_f, e)
+        # c**(phi/q) != 1 means c's q-part has the full order q^F.
+        c = next(c for c in count(2) if pow(c, phi // q, m) != 1)
+        base = pow(c, phi // q**f, m)
+        scale = q ** (e - f)
+        rows.append([_checked_log(base, y, m, q, f, ops) * scale for y in ys])
+    return rows
+
+
+def _span_valuation(rows: Sequence[Sequence[int]], q: int, e: int) -> int:
+    """log_q of the order of the subgroup of (Z/q^e)^rows spanned by the
+    columns: the sum of e - v over the Smith valuations v < e.
+
+    Each step pivots on an entry of least valuation, clears its column
+    from the other rows, and drops its row and column.
+    """
+    qe = q**e
+    rest = [[x % qe for x in row] for row in rows]
+    out = 0
+    while True:
+        best = None
+        for ri, row in enumerate(rest):
+            for ci, x in enumerate(row):
+                if x:
+                    v = _valuation(x, q)
+                    if best is None or v < best[0]:
+                        best = (v, ri, ci)
+        if best is None:
+            return out
+        v, ri, ci = best
+        out += e - v
+        pivot = rest.pop(ri)
+        qv = q**v
+        unit_inv = pow(pivot[ci] // qv, -1, qe)
+        for row in rest:
+            k = row[ci] // qv * unit_inv % qe
+            row[:] = [(x - k * y) % qe for x, y in zip(row, pivot)]
+            del row[ci]
+
+
 def independence_check(
-    generators: Sequence[int], n: int, cap: int = DEFAULT_CAP
+    generators: Sequence[int], modulus, orders: Optional[Sequence[int]] = None
 ) -> IndependenceResult:
     """Check that no proper power of any generator is spanned by the others.
 
-    For each i and each 1 <= v < order(g_i), tests g_i**v against the
-    closure of the remaining generators. Returns the first violating
-    (i, v) when the check fails. CapacityExceeded propagates: an oversize
-    closure means undecidable, not independent.
+    ``modulus`` is a Modulus or an int to factor; ``orders`` are the
+    generator orders, computed when not given. The generators are
+    independent iff |H_q| = prod_i q^v_q(r_i) at every prime q, that is
+    iff |H| = prod r_i. Otherwise the witness is the first i whose index
+    v = |H| / |<g_j : j != i>| is below r_i: v is the smallest exponent
+    >= 1 with g_i**v in the span of the others.
     """
+    mod = as_modulus(modulus)
+    n = mod.n
     gens = [g % n for g in generators]
-    for i, g in enumerate(gens):
-        others = close(gens[:i] + gens[i + 1 :], n, cap)
-        r = close([g], n, cap).order
-        x = g
-        for v in range(1, r):
-            if x in others:
-                return IndependenceResult(False, (i, v))
-            x = x * g % n
-    return IndependenceResult(True, None)
+    for g in gens:
+        d = math.gcd(g, n)
+        if d != 1:
+            raise NotAUnit(g, n, d)
+    if orders is None:
+        orders = [multiplicative_order(g, mod) for g in gens]
+    ops = [0]
+    # Primes where H_q is smaller than the direct sum of the generators'
+    # q-parts. At every other prime g_i's index has its full q-part.
+    deficient = []
+    for q in mod.carmichael_primes:
+        vals = [_valuation(r, q) for r in orders]
+        if not any(vals):
+            continue
+        e = max(vals)
+        rows = _sylow_rows(gens, mod, q, e, ops)
+        span = _span_valuation(rows, q, e)
+        if span < sum(vals):
+            deficient.append((q, e, rows, span))
+    if not deficient:
+        return IndependenceResult(True, None)
+    for i, r in enumerate(orders):
+        v = r
+        for q, e, rows, span in deficient:
+            if r % q == 0:
+                without = _span_valuation([row[:i] + row[i + 1 :] for row in rows], q, e)
+                v = v // q ** _valuation(r, q) * q ** (span - without)
+        if v < r:
+            return IndependenceResult(False, (i, v))
+    raise AssertionError(f"a deficient prime of {gens} mod {n}, yet every generator has full index")

@@ -7,7 +7,6 @@ from mdlp.arith import (
     Factorization,
     Modulus,
     carmichael,
-    euler_phi,
     factorize,
     is_probable_prime,
     multiplicative_order,
@@ -73,7 +72,6 @@ class TestPrimality:
 class TestTotients:
     def test_values_for_35(self):
         f = factorize(35)
-        assert euler_phi(f) == 24
         assert carmichael(f) == 12
 
     def test_powers_of_two(self):
@@ -86,7 +84,16 @@ class TestTotients:
         rng = random.Random(13)
         for _ in range(100):
             m = Modulus.from_int(rng.randrange(2, 100_000))
-            assert m.euler % m.carmichael == 0
+            phi = math.prod(p ** (a - 1) * (p - 1) for p, a in m.factorization)
+            assert phi % m.carmichael == 0
+
+    def test_carmichael_primes_factor_lambda(self):
+        rng = random.Random(19)
+        cases = [2, 4, 8, 9, 16, 27, 2 * 125, 4 * 49, 1_000_003 * 1_000_033]
+        for n in cases + [rng.randrange(2, 1 << 30) for _ in range(100)]:
+            m = Modulus.from_int(n)
+            want = factorize(m.carmichael).primes if m.carmichael > 1 else ()
+            assert m.carmichael_primes == want
 
     def test_units_killed_by_carmichael(self):
         rng = random.Random(17)

@@ -92,6 +92,16 @@ class TestValidate:
         code, _ = run(capsys, "validate", str(path))
         assert code == 2
 
+    def test_dependent_generators(self, capsys, tmp_path):
+        # 13 and 13 over N = 35: each is a power of the other.
+        doc = to_json_dict(make_instance(35, [13, 13], witness=(1, 1), check_independence=False))
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "solve"):
+            code, out = run_json(capsys, command, str(path))
+            assert code == 2
+            assert "generator 0 to the power 1 is spanned by the others" in out["error"]
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nope")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import random
 
 import pytest
 
+from mdlp.arith import factorize
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import (
     BudgetExceeded,
@@ -16,6 +18,7 @@ from mdlp.errors import (
 from mdlp.instance import (
     REFERENCE_TABLE_N35,
     _divisors,
+    dumps,
     VERDICT_BOTH,
     VERDICT_COLLAPSE,
     VERDICT_PEEL,
@@ -25,6 +28,7 @@ from mdlp.instance import (
     from_json_dict,
     generate,
     hardness_report,
+    loads,
     make_instance,
     reference_divergences,
     to_json_dict,
@@ -301,7 +305,33 @@ class TestGenerate:
 
     def test_divisors_against_brute_force(self):
         for r in range(1, 3001):
-            assert _divisors(r) == [d for d in range(1, r + 1) if r % d == 0]
+            primes = factorize(r).primes if r > 1 else ()
+            assert _divisors(r, primes) == [d for d in range(1, r + 1) if r % d == 0]
+        assert _divisors(12, (2, 3, 5, 7)) == [1, 2, 3, 4, 6, 12]
+        with pytest.raises(ValueError):
+            _divisors(12, (2,))
+
+    # sha256 over dumps(generate(**shape)) for each shape in turn. Any change
+    # to the rejection sampling (which draws it consumes, which candidates it
+    # rejects) changes the documents; the benchmark's exact counts rest on
+    # them staying the same.
+    PINNED_SHAPES = (
+        dict(seed=0, bits=16, t=1),
+        dict(seed=1, bits=16, t=2),
+        dict(seed=2, bits=20, t=3, max_order_product=1 << 12),
+        dict(seed=3, bits=24, t=4, max_order_product=1 << 16),
+        dict(seed=4, bits=32, t=2, require_collapse_resistant=True),
+        dict(seed=5, bits=40, t=2, max_order_product=1 << 20),
+        dict(seed=6, bits=40, t=3, require_peel_resistant=True, max_order_product=1 << 18),
+        dict(seed=7, bits=40, t=4, max_order_product=1 << 16),
+    )
+    PINNED_DIGEST = "13fc81314b908d6dd5bcade5ea6352abc1928e620d6bfe91f921da84fe4b5de6"
+
+    def test_documents_are_pinned(self):
+        h = hashlib.sha256()
+        for shape in self.PINNED_SHAPES:
+            h.update(dumps(generate(**shape)).encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
 
 
 class TestSerialization:
@@ -317,14 +347,39 @@ class TestSerialization:
         assert to_json_dict(from_json_dict(doc)) == doc
 
     def test_json_text_round_trip(self, worked_example):
-        from mdlp.instance import dumps, loads
-
         text = dumps(worked_example)
         doc = json.loads(text)
         assert doc["n"] == "35"
         assert doc["generators"] == ["13", "19"]
         inst = loads(text)
         assert inst.beta == worked_example.beta
+
+    def test_loads_dumps_is_identity(self, worked_example):
+        for inst in (worked_example, generate(56, bits=20, t=3)):
+            again = loads(dumps(inst))
+            assert again == inst
+            assert again.independence_verified
+
+    def test_order_product_above_two_to_the_twenty(self):
+        # Generator i is 2 at prime i and 1 at the others, so every pair
+        # spans about 10**12 elements, far past what a closure could list.
+        primes = (1_000_003, 1_000_033, 1_000_037)
+        gens = [
+            solve_system([Congruence(2 if q == p else 1, q) for q in primes]).residue
+            for p in primes
+        ]
+        inst = make_instance(math.prod(primes), gens, witness=(5, 6, 7))
+        assert math.prod(inst.orders) > 1 << 40
+        assert inst.independence_verified
+        assert loads(dumps(inst)) == inst
+
+    def test_dependent_generators_rejected(self):
+        # 13 and 13 over N = 35: built without the check, refused on load.
+        inst = make_instance(35, [13, 13], witness=(1, 1), check_independence=False)
+        assert not inst.independence_verified
+        with pytest.raises(IndependenceViolation) as exc:
+            loads(dumps(inst))
+        assert exc.value.witness == (0, 1)
 
     def test_tampered_beta_rejected(self, worked_example):
         doc = to_json_dict(worked_example)

@@ -292,7 +292,8 @@ class TestOrchestrator:
 def test_verification_survives_optimize_flag():
     # Under python -O every assert statement vanishes; the post-condition
     # on each returned Solution must not. With verify patched to reject
-    # everything, every solver path has to raise AssertionError.
+    # everything, every solver path has to raise AssertionError. The same
+    # holds for the independence check's re-check of each Sylow log.
     code = """
 import sys
 import mdlp.solvers as s
@@ -318,6 +319,18 @@ for call in calls:
     except AssertionError:
         continue
     raise SystemExit("a solver returned an unverified solution")
+
+# The independence check's witness, and its re-check of every Sylow log.
+import mdlp.subgroup as sg
+if sg.independence_check([13, 29], 35) != (False, (0, 2)):
+    raise SystemExit("wrong independence witness")
+sg._prime_power_log = lambda base, y, m, q, e, ops: 0
+try:
+    sg.independence_check([13, 29], 35)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("an unchecked Sylow log was used")
 """
     src = str(Path(mdlp.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
