@@ -73,7 +73,9 @@ def make_instance(
     Exactly one of ``witness`` / ``beta`` may be omitted: with a witness,
     beta is evaluated (and cross-checked if also supplied); without one,
     beta must be given. Raises NotAUnit for bad generators and
-    IndependenceViolation (with the offending power) for dependent ones.
+    IndependenceViolation (with the offending power) for dependent ones;
+    the check raises BudgetExceeded when a prime shared by two orders is
+    too large to log (see subgroup.MAX_SHARED_PRIME).
     ``check_independence=False`` is for callers that build independent
     generators by construction, such as CRT-built instances.
     """
@@ -105,7 +107,7 @@ def make_instance(
 
     verified = False
     if check_independence:
-        res = subgroup.independence_check(gens, modulus, orders)
+        res = subgroup.independence_check(gens, modulus)
         if not res.independent:
             raise IndependenceViolation(res.witness)
         verified = True

@@ -6,6 +6,11 @@ q-Sylow subgroup of each cyclic factor of Z_N* (Z_{p^a}* for odd p, and
 giant-step, digit by digit (Pohlig-Hellman). The q-part H_q of
 H = <g_1, ..., g_t> is then the span of the log columns, and |H_q| is read
 from their Smith valuations mod q^e. No subgroup element is enumerated.
+
+Only a prime q shared by two or more orders is examined: where q divides
+one r_i alone, H_q is that generator's cyclic q-part at its full order.
+The baby-step table of a shared q holds about sqrt(q) entries, so a q
+past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,11 @@ from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import Modulus, _prime_power_log, as_modulus, multiplicative_order
-from .errors import NotAUnit
+from .errors import BudgetExceeded, NotAUnit
+
+# Largest prime shared by two orders that is logged: its baby-step table
+# holds at most 2**16 entries.
+MAX_SHARED_PRIME = 2**32
 
 
 class IndependenceResult(NamedTuple):
@@ -116,17 +125,15 @@ def _span_valuation(rows: Sequence[Sequence[int]], q: int, e: int) -> int:
             del row[ci]
 
 
-def independence_check(
-    generators: Sequence[int], modulus, orders: Optional[Sequence[int]] = None
-) -> IndependenceResult:
+def independence_check(generators: Sequence[int], modulus) -> IndependenceResult:
     """Check that no proper power of any generator is spanned by the others.
 
-    ``modulus`` is a Modulus or an int to factor; ``orders`` are the
-    generator orders, computed when not given. The generators are
+    ``modulus`` is a Modulus or an int to factor. The generators are
     independent iff |H_q| = prod_i q^v_q(r_i) at every prime q, that is
     iff |H| = prod r_i. Otherwise the witness is the first i whose index
     v = |H| / |<g_j : j != i>| is below r_i: v is the smallest exponent
-    >= 1 with g_i**v in the span of the others.
+    >= 1 with g_i**v in the span of the others. Raises BudgetExceeded for
+    a prime above MAX_SHARED_PRIME that divides two or more orders.
     """
     mod = as_modulus(modulus)
     n = mod.n
@@ -135,16 +142,21 @@ def independence_check(
         d = math.gcd(g, n)
         if d != 1:
             raise NotAUnit(g, n, d)
-    if orders is None:
-        orders = [multiplicative_order(g, mod) for g in gens]
+    orders = [multiplicative_order(g, mod) for g in gens]
     ops = [0]
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.
     deficient = []
     for q in mod.carmichael_primes:
         vals = [_valuation(r, q) for r in orders]
-        if not any(vals):
+        if sum(v > 0 for v in vals) < 2:
             continue
+        if q > MAX_SHARED_PRIME:
+            i, j = [k for k, v in enumerate(vals) if v][:2]
+            raise BudgetExceeded(
+                f"prime {q} divides the orders of generators {i} and {j} and is "
+                f"above {MAX_SHARED_PRIME}, too large to log by baby-step giant-step"
+            )
         e = max(vals)
         rows = _sylow_rows(gens, mod, q, e, ops)
         span = _span_valuation(rows, q, e)

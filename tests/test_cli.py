@@ -102,6 +102,17 @@ class TestValidate:
             assert code == 2
             assert "generator 0 to the power 1 is spanned by the others" in out["error"]
 
+    def test_shared_prime_too_large_to_log_exits_three(self, capsys, tmp_path):
+        # 4 and 9 share the prime order q, about 2**60, mod p = 2q + 1.
+        p = 2 * 1152921504606849959 + 1
+        doc = to_json_dict(make_instance(p, [4, 9], witness=(1, 1), check_independence=False))
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "solve"):
+            code, out = run_json(capsys, command, str(path))
+            assert code == 3
+            assert "too large to log" in out["error"]
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nope")

@@ -3,10 +3,12 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
-from mdlp.arith import factorize
+from mdlp import subgroup
+from mdlp.arith import Factorization, factorize
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import (
     BudgetExceeded,
@@ -37,6 +39,10 @@ from mdlp.instance import (
 )
 
 
+# q with q and 2q + 1 both prime, just above 2**60.
+SAFE_PRIMES = (1152921504606849959, 1152921504606850613)
+
+
 @pytest.fixture
 def worked_example():
     return make_instance(35, [13, 19], witness=(3, 1))
@@ -53,6 +59,38 @@ class TestMakeInstance:
     def test_zero_exponents(self):
         inst = make_instance(35, [13, 19], witness=(0, 0))
         assert inst.beta == 1
+
+    def test_large_prime_orders_load_without_a_log(self, monkeypatch):
+        # q and 2q + 1 are prime with q near 2**60. No prime divides two
+        # orders here, so the check takes no Sylow log: the baby-step
+        # table of such a q would hold about 2**30 entries.
+        q1, q2 = SAFE_PRIMES
+        p1, p2 = 2 * q1 + 1, 2 * q2 + 1
+
+        def no_log(*args):
+            raise AssertionError("a Sylow log was taken")
+
+        monkeypatch.setattr(subgroup, "_prime_power_log", no_log)
+        one = make_instance(p1, [4], witness=(12345,))
+        g1 = solve_system([Congruence(4, p1), Congruence(1, p2)]).residue
+        g2 = solve_system([Congruence(1, p1), Congruence(9, p2)]).residue
+        two = make_instance(Factorization(((p1, 1), (p2, 1))), [g1, g2], witness=(5, 6))
+        assert one.orders == (q1,) and two.orders == (q1, q2)
+        for inst in (one, two):
+            start = time.perf_counter()
+            assert loads(dumps(inst)) == inst
+            assert inst.independence_verified
+            # Milliseconds; one 2**30-entry baby-step table would take minutes.
+            assert time.perf_counter() - start < 10
+
+    def test_shared_prime_too_large_to_log_is_a_budget_error(self):
+        # 4 and 9 both have the order q near 2**60 mod 2q + 1.
+        p = 2 * SAFE_PRIMES[0] + 1
+        with pytest.raises(BudgetExceeded):
+            make_instance(p, [4, 9], witness=(1, 1))
+        text = dumps(make_instance(p, [4, 9], witness=(1, 1), check_independence=False))
+        with pytest.raises(BudgetExceeded):
+            loads(text)
 
     def test_dependent_generators_rejected(self):
         with pytest.raises(IndependenceViolation) as exc:
