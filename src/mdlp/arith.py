@@ -2,9 +2,11 @@
 
 Integer factorization (trial division plus Brent's cycle variant of
 Pollard rho), primality testing, the Carmichael function, multiplicative
-order computation, and the baby-step giant-step logarithm in a subgroup of
-prime-power order that both the solvers and the independence check use.
-Everything here is a pure function over immutable values.
+order computation, the baby-step giant-step logarithm in a subgroup of
+prime-power order that both the solvers and the independence check use,
+and the row reduction mod q**e that index calculus and the independence
+check share. Apart from that reduction, which works in place, everything
+here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 # primality; above it the test is probabilistic.
 _DETERMINISTIC_BOUND = 1 << 64
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_RANDOM_ROUNDS = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -28,11 +31,11 @@ DEFAULT_TRIAL_BOUND = 1 << 16
 DEFAULT_RHO_BUDGET = 2_000_000
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic below 2**64; above that, ``rounds`` random bases seeded
-    by n itself, so repeated calls agree.
+    Deterministic below 2**64; above that, _RANDOM_ROUNDS random bases
+    seeded by n itself, so repeated calls agree.
     """
     if n < 2:
         return False
@@ -62,7 +65,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         bases = _WITNESSES_64
     else:
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     return not any(witness(a % n) for a in bases if a % n not in (0, 1, n - 1))
 
 
@@ -231,10 +234,10 @@ class Modulus:
         return cls(n, factorization, carmichael(factorization))
 
     @classmethod
-    def from_int(cls, n: int, **factorize_kwargs) -> "Modulus":
+    def from_int(cls, n: int) -> "Modulus":
         if n < 2:
             raise InvalidModulus(f"modulus must be >= 2, got {n}")
-        return cls.from_factorization(factorize(n, **factorize_kwargs))
+        return cls.from_factorization(factorize(n))
 
     @cached_property
     def carmichael_primes(self) -> tuple[int, ...]:
@@ -320,3 +323,34 @@ def _prime_power_log(
             return None
         x += d * q**j
     return x
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra mod q**e
+
+
+def _row_reduce(aug: list[list[int]], ncols: int, q: int, e: int) -> list[int]:
+    """Reduce the rows of ``aug`` (entries in [0, q**e)) in place mod q**e.
+
+    Each of the first ``ncols`` columns gets a pivot only if some row not
+    yet used has a unit mod q there; the pivot row is scaled to 1 and the
+    column cleared in every other row. A column without one is skipped.
+    Returns the pivot columns in order; the i-th of them is pivoted in row
+    i. Columns past ``ncols`` (right-hand sides) are carried along.
+    """
+    qe = q**e
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(aug)) if aug[r][col] % q), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        inv = pow(aug[row][col], -1, qe)
+        aug[row] = [c * inv % qe for c in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(cr - f * cp) % qe for cr, cp in zip(aug[r], aug[row])]
+        pivots.append(col)
+    return pivots

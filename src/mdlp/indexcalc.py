@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, factorize, is_probable_prime
+from .arith import Factorization, Modulus, _row_reduce, factorize, is_probable_prime
 from .arith import multiplicative_order, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
@@ -130,33 +130,6 @@ def collect_relations(
     )
 
 
-def _row_reduce(aug: list[list[int]], ncols: int, q: int, e: int) -> list[int]:
-    """Reduce the rows of ``aug`` (entries in [0, q**e)) in place mod q**e.
-
-    Each of the first ``ncols`` columns gets a pivot only if some row not
-    yet used has a unit mod q there; the pivot row is scaled to 1 and the
-    column cleared in every other row. A column without one is skipped.
-    Returns the pivot columns in order; the i-th of them is pivoted in row
-    i. Columns past ``ncols`` (right-hand sides) are carried along.
-    """
-    qe = q**e
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        sel = next((r for r in range(row, len(aug)) if aug[r][col] % q), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], -1, qe)
-        aug[row] = [c * inv % qe for c in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(cr - f * cp) % qe for cr, cp in zip(aug[r], aug[row])]
-        pivots.append(col)
-    return pivots
-
-
 def _solve_mod_prime_power(
     rows: Sequence[tuple[Sequence[int], int]], ncols: int, q: int, e: int
 ) -> list[int]:
@@ -211,9 +184,6 @@ def dlp_via_index_calculus(
     beta: int,
     bound: int = DEFAULT_BOUND,
     seed: int = 0,
-    slack: int = DEFAULT_SLACK,
-    relation_trials: int = DEFAULT_RELATION_TRIALS,
-    shift_trials: int = DEFAULT_SHIFT_TRIALS,
 ) -> int:
     """log_alpha beta mod p by the five-step pipeline above.
 
@@ -234,10 +204,9 @@ def dlp_via_index_calculus(
     for round_ in range(4):
         mat = collect_relations(
             p, alpha, fb,
-            slack=slack + 10 * round_,
+            slack=DEFAULT_SLACK + 10 * round_,
             seed=seed + round_,
             order=n,
-            max_trials=relation_trials,
         )
         try:
             logs = solve_base_logs(mat)
@@ -250,7 +219,7 @@ def dlp_via_index_calculus(
         )
 
     rng = random.Random(f"shift:{seed}")
-    for _ in range(shift_trials):
+    for _ in range(DEFAULT_SHIFT_TRIALS):
         delta = rng.randrange(n)
         shifted = beta * pow(alpha, delta, p) % p
         if shifted == 0:
@@ -262,7 +231,7 @@ def dlp_via_index_calculus(
         if pow(alpha, x, p) == beta:
             return x
     raise BudgetExceeded(
-        f"no smooth shift of beta found in {shift_trials} trials (p={p}, B={bound})"
+        f"no smooth shift of beta found in {DEFAULT_SHIFT_TRIALS} trials (p={p}, B={bound})"
     )
 
 

@@ -484,9 +484,6 @@ def from_json_dict(doc: dict) -> Instance:
     factorization = Factorization(factors)
     if factorization.n != n:
         raise ValueError("factors do not multiply back to n")
-    for p, _ in factors:
-        if not is_probable_prime(p):
-            raise ValueError(f"listed factor {p} is not prime")
     inst = make_instance(
         factorization,
         gens,

@@ -344,7 +344,6 @@ def solve(
     strategy: str = "auto",
     *,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> Optional[Solution]:
     """Recover the exponent tuple; None means definitively not found.
 
@@ -357,7 +356,7 @@ def solve(
     if strategy == "exhaustive":
         return solve_exhaustive(inst, budget=budget)
     if strategy == "mitm":
-        return solve_mitm(inst, memory_cap=memory_cap, budget=budget)
+        return solve_mitm(inst, budget=budget)
     if strategy == "collapse":
         return attack_collapse(inst)
     if strategy == "peel":
@@ -381,7 +380,7 @@ def solve(
         return None
 
     try:
-        sol = solve_mitm(inst, memory_cap=memory_cap, budget=budget)
+        sol = solve_mitm(inst, budget=budget)
         return sol  # a full scan ran: None here is definitive
     except BudgetExceeded as exc:
         diagnostics["mitm"] = str(exc)

@@ -19,7 +19,7 @@ import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _prime_power_log, as_modulus, multiplicative_order
+from .arith import Modulus, _prime_power_log, _row_reduce, as_modulus, multiplicative_order
 from .errors import BudgetExceeded, NotAUnit
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -40,7 +40,7 @@ def _valuation(x: int, q: int) -> int:
     return v
 
 
-def _checked_log(base: int, y: int, m: int, q: int, e: int, ops: list[int]) -> int:
+def _checked_log(base: int, y: int, m: int, q: int, e: int) -> int:
     """log of y to ``base`` (of order q**e) mod m, re-checked by powering.
 
     An explicit check rather than an assert, so it also runs under
@@ -48,13 +48,13 @@ def _checked_log(base: int, y: int, m: int, q: int, e: int, ops: list[int]) -> i
     """
     if y == 1:
         return 0
-    x = _prime_power_log(base, y, m, q, e, ops)
+    x = _prime_power_log(base, y, m, q, e, [0])
     if x is None or pow(base, x, m) != y:
         raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{e}")
     return x
 
 
-def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int, ops: list[int]) -> list[list[int]]:
+def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[int]]:
     """One row per cyclic factor of the q-Sylow subgroup of Z_N*.
 
     Entry i is the log of g_i's projection into that factor. A factor of
@@ -75,7 +75,7 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int, ops: list[int
                 f = min(a - 2, e)
                 base = pow(5, 2 ** (a - 2 - f), m)
                 zs = [y if y % 4 == 1 else m - y for y in ys]
-                rows.append([_checked_log(base, z, m, 2, f, ops) << (e - f) for z in zs])
+                rows.append([_checked_log(base, z, m, 2, f) << (e - f) for z in zs])
             continue
         phi = p ** (a - 1) * (p - 1)
         big_f = _valuation(phi, q)
@@ -90,7 +90,7 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int, ops: list[int
         c = next(c for c in count(2) if pow(c, phi // q, m) != 1)
         base = pow(c, phi // q**f, m)
         scale = q ** (e - f)
-        rows.append([_checked_log(base, y, m, q, f, ops) * scale for y in ys])
+        rows.append([_checked_log(base, y, m, q, f) * scale for y in ys])
     return rows
 
 
@@ -98,31 +98,18 @@ def _span_valuation(rows: Sequence[Sequence[int]], q: int, e: int) -> int:
     """log_q of the order of the subgroup of (Z/q^e)^rows spanned by the
     columns: the sum of e - v over the Smith valuations v < e.
 
-    Each step pivots on an entry of least valuation, clears its column
-    from the other rows, and drops its row and column.
+    Unit pivots mod q^e each add e. Every row left unpivoted is then zero
+    in the pivot columns and divisible by q elsewhere, so it is divided by
+    q and the rest is reduced again mod q^(e-1).
     """
-    qe = q**e
-    rest = [[x % qe for x in row] for row in rows]
+    rest = [[x % q**e for x in row] for row in rows]
     out = 0
-    while True:
-        best = None
-        for ri, row in enumerate(rest):
-            for ci, x in enumerate(row):
-                if x:
-                    v = _valuation(x, q)
-                    if best is None or v < best[0]:
-                        best = (v, ri, ci)
-        if best is None:
-            return out
-        v, ri, ci = best
-        out += e - v
-        pivot = rest.pop(ri)
-        qv = q**v
-        unit_inv = pow(pivot[ci] // qv, -1, qe)
-        for row in rest:
-            k = row[ci] // qv * unit_inv % qe
-            row[:] = [(x - k * y) % qe for x, y in zip(row, pivot)]
-            del row[ci]
+    while e and rest:
+        pivots = _row_reduce(rest, len(rest[0]), q, e)
+        out += e * len(pivots)
+        rest = [[x // q for x in row] for row in rest[len(pivots) :] if any(row)]
+        e -= 1
+    return out
 
 
 def independence_check(generators: Sequence[int], modulus) -> IndependenceResult:
@@ -143,7 +130,6 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
         if d != 1:
             raise NotAUnit(g, n, d)
     orders = [multiplicative_order(g, mod) for g in gens]
-    ops = [0]
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.
     deficient = []
@@ -158,7 +144,7 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
                 f"above {MAX_SHARED_PRIME}, too large to log by baby-step giant-step"
             )
         e = max(vals)
-        rows = _sylow_rows(gens, mod, q, e, ops)
+        rows = _sylow_rows(gens, mod, q, e)
         span = _span_valuation(rows, q, e)
         if span < sum(vals):
             deficient.append((q, e, rows, span))

@@ -92,6 +92,15 @@ class TestValidate:
         code, _ = run(capsys, "validate", str(path))
         assert code == 2
 
+    def test_composite_factor(self, capsys, tmp_path):
+        doc = to_json_dict(make_instance(35, [13, 19], witness=(3, 1)))
+        doc["factors"] = [["35", 1]]
+        path = tmp_path / "composite.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "validate", str(path))
+        assert code == 2
+        assert "listed factor 35 is not prime" in out["error"]
+
     def test_dependent_generators(self, capsys, tmp_path):
         # 13 and 13 over N = 35: each is a power of the other.
         doc = to_json_dict(make_instance(35, [13, 13], witness=(1, 1), check_independence=False))

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlp import arith
-from mdlp.arith import factorize, primes_up_to
+from mdlp.arith import _row_reduce, factorize, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
-    _row_reduce,
     _solve_mod_prime_power,
     Relation,
     RelationMatrix,
@@ -24,6 +23,7 @@ from mdlp.indexcalc import (
     try_smooth,
 )
 from mdlp.solvers import DlpTask, solve_dlp
+from mdlp.subgroup import _span_valuation
 
 
 def primitive_root(p):
@@ -280,3 +280,15 @@ class TestRowReduction:
         qe = q**e
         aug = [[a % qe for a in coeffs] for coeffs, _ in rows]
         assert len(_row_reduce(aug, ncols, q, e)) == rank
+        # The span valuation against the row span mod q**e, grown one coset
+        # of the old span per multiple of each row; systems() keeps
+        # qe**ncols <= BRUTE_LIMIT.
+        span = {(0,) * ncols}
+        for coeffs, _ in rows:
+            cosets = [span]
+            shift = tuple(a % qe for a in coeffs)
+            while shift not in span:
+                cosets.append({tuple((v + s) % qe for v, s in zip(vec, shift)) for vec in span})
+                shift = tuple((s + a) % qe for s, a in zip(shift, coeffs))
+            span = set().union(*cosets)
+        assert q ** _span_valuation([coeffs for coeffs, _ in rows], q, e) == len(span)

@@ -6,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlp import subgroup
 from mdlp.arith import Factorization, factorize
@@ -398,6 +400,41 @@ class TestSerialization:
             assert again == inst
             assert again.independence_verified
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(12, 24), st.integers(1, 3))
+    def test_generated_round_trip(self, seed, bits, t):
+        inst = generate(seed, bits=bits, t=t)
+        doc = to_json_dict(inst)
+        assert to_json_dict(from_json_dict(doc)) == doc
+        assert loads(dumps(inst)) == inst
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(12, 24), st.integers(1, 3))
+    def test_generated_single_edit_rejected(self, seed, bits, t):
+        doc = to_json_dict(generate(seed, bits=bits, t=t))
+        # generate always samples N with two or three prime factors.
+        (p1, a1), (p2, a2), *rest = [(int(p), a) for p, a in doc["factors"]]
+        merged = sorted([(p1**a1 * p2**a2, 1), *rest])
+        orders = [str(int(doc["orders"][0]) + 1), *doc["orders"][1:]]
+        edits = [
+            ("beta", str(int(doc["beta"]) + 1), "disagrees with witness product"),
+            ("orders", orders, "disagree with computed"),
+            ("factors", [[str(p), a] for p, a in merged], "is not prime"),
+        ]
+        for key, value, reason in edits:
+            with pytest.raises(ValueError, match=reason):
+                from_json_dict({**doc, key: value})
+        if t >= 2:
+            # Generator 1 becomes generator 0, its first power. Without the
+            # witness no beta check stands in front of the independence check.
+            gens = list(doc["generators"])
+            gens[1] = gens[0]
+            with pytest.raises(ValueError):
+                from_json_dict({**doc, "generators": gens})
+            bare = {k: v for k, v in doc.items() if k != "witness"}
+            with pytest.raises(IndependenceViolation):
+                from_json_dict({**bare, "generators": gens})
+
     def test_order_product_above_two_to_the_twenty(self):
         # Generator i is 2 at prime i and 1 at the others, so every pair
         # spans about 10**12 elements, far past what a closure could list.
@@ -435,6 +472,12 @@ class TestSerialization:
         doc = to_json_dict(worked_example)
         doc["factors"] = [["5", 1], ["11", 1]]
         with pytest.raises(ValueError):
+            from_json_dict(doc)
+
+    def test_composite_factor_rejected(self, worked_example):
+        doc = to_json_dict(worked_example)
+        doc["factors"] = [["35", 1]]
+        with pytest.raises(ValueError, match="listed factor 35 is not prime"):
             from_json_dict(doc)
 
     def test_witness_out_of_range_rejected(self, worked_example):
