@@ -265,8 +265,11 @@ def as_modulus(m) -> Modulus:
 def multiplicative_order(g: int, m) -> int:
     """Smallest r >= 1 with g**r == 1 mod m.
 
-    Always recomputed: start from lambda(n) and strip its primes while the
-    power stays 1. Never taken on faith from a caller.
+    Always recomputed, never taken on faith from a caller, by prime-power
+    descent (Cohen, GTM 138, Alg. 1.4.3): for each prime p of lambda(n)
+    with p**a exactly dividing it, h = g**(lambda / p**a) has order p**b,
+    the p-part of r, and b is the number of p-th powers that take h to 1.
+    That is one full-size exponentiation per prime of lambda(n).
     """
     mod = as_modulus(m)
     n = mod.n
@@ -274,10 +277,16 @@ def multiplicative_order(g: int, m) -> int:
     gcd = math.gcd(g, n)
     if gcd != 1:
         raise NotAUnit(g, n, gcd)
-    r = mod.carmichael
+    lam = mod.carmichael
+    r = 1
     for p in mod.carmichael_primes:
-        while r % p == 0 and pow(g, r // p, n) == 1:
-            r //= p
+        pa = p
+        while lam % (pa * p) == 0:
+            pa *= p
+        h = pow(g, lam // pa, n)
+        while h != 1:
+            h = pow(h, p, n)
+            r *= p
     return r
 
 

@@ -24,14 +24,22 @@ class BudgetExceeded(MdlpError):
 
 
 class GenerationFailed(BudgetExceeded):
-    """Rejection sampling exhausted its attempt budget."""
+    """Rejection sampling exhausted its attempt budget.
 
-    def __init__(self, attempts, detail=""):
-        msg = f"no instance found after {attempts} attempts"
+    ``rejections`` maps each rejection stage to the number of attempts it
+    rejected; ``attempts`` is their sum.
+    """
+
+    def __init__(self, rejections, detail=""):
+        self.rejections = dict(rejections)
+        self.attempts = sum(self.rejections.values())
+        msg = f"no instance found after {self.attempts} attempts"
         if detail:
             msg += f" ({detail})"
+        msg += "; rejected by " + ", ".join(
+            f"{stage} {count}" for stage, count in self.rejections.items()
+        )
         super().__init__(msg)
-        self.attempts = attempts
 
 
 class UnsolvableSystem(MdlpError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import subgroup
@@ -23,6 +23,7 @@ from .arith import (
     Factorization,
     Modulus,
     as_modulus,
+    carmichael,
     is_probable_prime,
     multiplicative_order,
 )
@@ -77,7 +78,9 @@ def make_instance(
     the check raises BudgetExceeded when a prime shared by two orders is
     too large to log (see subgroup.MAX_SHARED_PRIME).
     ``check_independence=False`` is for callers that build independent
-    generators by construction, such as CRT-built instances.
+    generators by construction, such as CRT-built instances, and for
+    generate's draft, which runs the check itself once the cheaper
+    hardness constraints have passed.
     """
     if isinstance(modulus_or_n, Factorization):
         modulus = Modulus.from_factorization(modulus_or_n)
@@ -331,11 +334,20 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
         while rest % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rest //= p
-    return Modulus.from_factorization(Factorization(tuple(sorted(counts.items()))))
+    # Every prime in chosen came from _random_odd_prime, which has already
+    # tested it, so Modulus.from_factorization's own test is skipped.
+    factorization = Factorization(tuple(sorted(counts.items())))
+    return Modulus(prod, factorization, carmichael(factorization))
 
 
-def _divisors(n: int, primes: Sequence[int]) -> list[int]:
-    """All divisors of n, ascending; ``primes`` must hold every prime of n."""
+def _divisors(n: int, primes: Sequence[int], cap: Optional[int] = None) -> list[int]:
+    """The divisors of n up to ``cap`` >= 1 (all of them by default), ascending.
+
+    ``primes`` must hold every prime of n. A divisor above the cap is not
+    extended by further prime powers, so the work follows the divisors
+    kept rather than all of them.
+    """
+    limit = n if cap is None else cap
     out = [1]
     for p in primes:
         a = 0
@@ -343,10 +355,28 @@ def _divisors(n: int, primes: Sequence[int]) -> list[int]:
             n //= p
             a += 1
         if a:
-            out = [d * p**e for d in out for e in range(a + 1)]
+            grown = []
+            for d in out:
+                for _ in range(a + 1):
+                    if d > limit:
+                        break
+                    grown.append(d)
+                    d *= p
+            out = grown
     if n != 1:
         raise ValueError(f"primes {tuple(primes)} leave the factor {n}")
     return sorted(out)
+
+
+# Why generate rejected an attempt, in the order the tests run.
+REJECTION_STAGES = (
+    "modulus",
+    "generator",
+    "order_product",
+    "collapse",
+    "peel",
+    "independence",
+)
 
 
 def generate(
@@ -363,20 +393,52 @@ def generate(
 
     Constraints may pin the hardness checks either way (True demands the
     check passes, False demands it fails) and bound the product of the
-    generator orders. Raises GenerationFailed with the attempt count when
-    the budget runs out.
+    generator orders. Each attempt runs its tests from the cheapest up and
+    stops at the first that rejects it (REJECTION_STAGES): sample a
+    modulus, draw t generators of usable order, bound their order product,
+    draw the witness, then the collapse and peel constraints, and last the
+    independence check. The witness is the attempt's last random draw, so
+    the order of the tests after it does not change which instance a seed
+    gives. Raises ValueError for a constraint no instance can meet, and
+    GenerationFailed, carrying the rejections by stage, when the attempt
+    budget runs out.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if bits < 8:
         raise ValueError(f"bits must be >= 8, got {bits}")
+    if t == 1 and require_collapse_resistant:
+        raise ValueError(
+            "t = 1 is never collapse-resistant: there is no pair of orders to conflict"
+        )
+    if t == 1 and require_peel_resistant:
+        raise ValueError(
+            "t = 1 is never peel-resistant: omitting the only generator leaves "
+            "the empty product 1"
+        )
     rng = random.Random(seed)
     bound = max_order_product or 1 << 17
     cap_each = max(3, int(round(bound ** (1.0 / t))) * 2)
+    provenance = {
+        "seed": seed,
+        "bits": bits,
+        "t": t,
+        "constraints": {
+            k: v
+            for k, v in {
+                "require_collapse_resistant": require_collapse_resistant,
+                "require_peel_resistant": require_peel_resistant,
+                "max_order_product": max_order_product,
+            }.items()
+            if v is not None
+        },
+    }
+    rejections = dict.fromkeys(REJECTION_STAGES, 0)
 
-    for attempt in range(max_attempts):
+    for _ in range(max_attempts):
         modulus = _sample_modulus(rng, bits, parts=min(max(t, 2), 3))
         if modulus is None:
+            rejections["modulus"] += 1
             continue
         n = modulus.n
         gens: list[int] = []
@@ -389,7 +451,8 @@ def generate(
                 if math.gcd(u, n) != 1:
                     continue
                 r = multiplicative_order(u, modulus)
-                opts = [d for d in _divisors(r, modulus.carmichael_primes) if 2 <= d <= cap_each]
+                # the divisors in [2, cap_each]: all but the leading 1
+                opts = _divisors(r, modulus.carmichael_primes, cap_each)[1:]
                 if not opts:
                     continue
                 # two draws, keep the larger: biases toward roomier boxes
@@ -403,43 +466,36 @@ def generate(
             if g is None:
                 ok = False
                 break
-        if not ok or math.prod(orders) > bound:
+        if not ok:
+            rejections["generator"] += 1
             continue
-        try:
-            inst = make_instance(
-                modulus,
-                gens,
-                witness=[rng.randrange(r) for r in orders],
-                provenance={
-                    "seed": seed,
-                    "bits": bits,
-                    "t": t,
-                    "constraints": {
-                        k: v
-                        for k, v in {
-                            "require_collapse_resistant": require_collapse_resistant,
-                            "require_peel_resistant": require_peel_resistant,
-                            "max_order_product": max_order_product,
-                        }.items()
-                        if v is not None
-                    },
-                },
-            )
-        except IndependenceViolation:
+        if math.prod(orders) > bound:
+            rejections["order_product"] += 1
             continue
-        report = hardness_report(inst)
+        draft = make_instance(
+            modulus,
+            gens,
+            witness=[rng.randrange(r) for r in orders],
+            check_independence=False,
+            provenance=provenance,
+        )
         if (
             require_collapse_resistant is not None
-            and report.collapse.resistant != require_collapse_resistant
+            and check_collapse_resistance(draft).resistant != require_collapse_resistant
         ):
+            rejections["collapse"] += 1
             continue
         if (
             require_peel_resistant is not None
-            and report.peel.resistant != require_peel_resistant
+            and check_peel_resistance(draft).resistant != require_peel_resistant
         ):
+            rejections["peel"] += 1
             continue
-        return inst
-    raise GenerationFailed(max_attempts, f"bits={bits} t={t}")
+        if not subgroup.independence_check(draft.generators, modulus).independent:
+            rejections["independence"] += 1
+            continue
+        return replace(draft, independence_verified=True)
+    raise GenerationFailed(rejections, f"bits={bits} t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlp.arith import (
     Factorization,
@@ -13,6 +15,28 @@ from mdlp.arith import (
     primes_up_to,
 )
 from mdlp.errors import BudgetExceeded, InvalidModulus, NotAUnit
+
+ODD_PRIMES = primes_up_to(60)[1:]
+
+# Every shape of unit group: 2-power moduli (cyclic up to 4, not from 8),
+# 2^a times an odd part, prime squares and cubes, and squarefree products.
+ORDER_MODULI = st.one_of(
+    st.sampled_from([2, 4, 8, 16]),
+    st.builds(lambda a, m: 2**a * (2 * m + 1), st.integers(1, 5), st.integers(1, 60)),
+    st.sampled_from(ODD_PRIMES).map(lambda p: p**2),
+    st.sampled_from(ODD_PRIMES[:5]).map(lambda p: p**3),
+    st.lists(st.sampled_from([2] + ODD_PRIMES), min_size=2, max_size=3, unique=True)
+    .map(math.prod),
+)
+
+
+def brute_order(g, n):
+    """Smallest r >= 1 with g**r == 1 mod n, by repeated multiplication."""
+    r, x = 1, g % n
+    while x != 1 % n:
+        x = x * g % n
+        r += 1
+    return r
 
 
 class TestFactorize:
@@ -135,6 +159,14 @@ class TestMultiplicativeOrder:
             for d in range(1, r):
                 if r % d == 0:
                     assert pow(u, d, n) != 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ORDER_MODULI, st.integers(0, 1 << 20))
+    def test_matches_brute_force(self, n, pick):
+        m = Modulus.from_int(n)
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        for u in {1, n - 1, units[pick % len(units)]}:
+            assert multiplicative_order(u, m) == brute_order(u, n)
 
 
 class TestModulus:

@@ -58,6 +58,14 @@ class TestGen:
         assert code == 0
         assert doc["result"]["hardness"]["verdict"] == "resists-hsp-necessary-condition"
 
+    def test_impossible_constraint_invalid(self, capsys, tmp_path):
+        # t = 1 can never be collapse-resistant: refused at once, not after
+        # the whole attempt budget.
+        code, doc = run_json(capsys, "gen", "--seed", "9", "--bits", "32", "--t", "1",
+                             "--require-collapse-resistant", "--out", str(tmp_path / "x.json"))
+        assert code == doc["exit_status"] == 2
+        assert "never collapse-resistant" in doc["error"]
+
     def test_zero_t_invalid(self, capsys, tmp_path):
         code, _ = run(capsys, "gen", "--seed", "1", "--t", "0",
                       "--out", str(tmp_path / "x.json"))

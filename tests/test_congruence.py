@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlp.congruence import (
     Congruence,
@@ -119,6 +121,33 @@ class TestSolveSystem:
                 continue
             assert all(c.holds_for(sol.residue) for c in items)
             assert sol.modulus == math.lcm(*(c.modulus for c in items))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(1, 60), st.integers(0, 10**6)), min_size=1, max_size=4),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_systems_against_brute_force(self, pairs, planted):
+        # With a planted x every residue is x mod its modulus, so the
+        # system is solvable; otherwise the residues are arbitrary.
+        items = [Congruence(planted if planted is not None else b, m) for m, b in pairs]
+        lcm = math.lcm(*(c.modulus for c in items))
+        # Every solution below the lcm lies in the class of the largest modulus.
+        widest = max(items, key=lambda c: c.modulus)
+        found = [
+            x for x in range(widest.residue, lcm, widest.modulus)
+            if all(c.holds_for(x) for c in items)
+        ]
+        if found:
+            assert solve_system(items) == CrtSolution(found[0], lcm)
+            assert len(found) == 1
+        else:
+            assert planted is None
+            with pytest.raises(UnsolvableSystem) as exc:
+                solve_system(items)
+            i, j = exc.value.pair
+            pair = [items[i], items[j]]
+            assert brute_solutions(pair, math.lcm(items[i].modulus, items[j].modulus)) == []
 
 
 class TestSplitExponent:

@@ -21,6 +21,7 @@ from mdlp.errors import (
 )
 from mdlp.instance import (
     REFERENCE_TABLE_N35,
+    REJECTION_STAGES,
     _divisors,
     dumps,
     VERDICT_BOTH,
@@ -332,10 +333,29 @@ class TestGenerate:
         assert not check_collapse_resistance(inst).resistant
 
     def test_impossible_constraint_fails_cleanly(self):
-        # one generator cannot have pairwise-incompatible residues
-        with pytest.raises(GenerationFailed):
-            generate(9, bits=12, t=1, require_collapse_resistant=True,
-                     max_attempts=50)
+        # One generator has no pair of residues to conflict, and omitting
+        # it leaves the empty product 1, so neither constraint can hold.
+        with pytest.raises(ValueError, match="never collapse-resistant"):
+            generate(9, bits=12, t=1, require_collapse_resistant=True)
+        with pytest.raises(ValueError, match="never peel-resistant"):
+            generate(9, bits=12, t=1, require_peel_resistant=True)
+        # The opposite demands are what t = 1 always gives.
+        inst = generate(9, bits=12, t=1, require_collapse_resistant=False,
+                        require_peel_resistant=False)
+        assert hardness_report(inst).verdict == VERDICT_BOTH
+
+    def test_rejections_counted_by_stage(self):
+        # Satisfiable (the constrained pin below generates this shape with
+        # the default budget), but not within six attempts.
+        with pytest.raises(GenerationFailed) as exc:
+            generate(8, bits=24, t=4, require_collapse_resistant=True,
+                     require_peel_resistant=True, max_order_product=1 << 16,
+                     max_attempts=6)
+        rejections = exc.value.rejections
+        assert list(rejections) == list(REJECTION_STAGES)
+        assert sum(rejections.values()) == exc.value.attempts == 6
+        for stage, count in rejections.items():
+            assert f"{stage} {count}" in str(exc.value)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -346,7 +366,10 @@ class TestGenerate:
     def test_divisors_against_brute_force(self):
         for r in range(1, 3001):
             primes = factorize(r).primes if r > 1 else ()
-            assert _divisors(r, primes) == [d for d in range(1, r + 1) if r % d == 0]
+            brute = [d for d in range(1, r + 1) if r % d == 0]
+            assert _divisors(r, primes) == brute
+            for cap in (1, 2, 7, r, r + 1):
+                assert _divisors(r, primes, cap) == [d for d in brute if d <= cap]
         assert _divisors(12, (2, 3, 5, 7)) == [1, 2, 3, 4, 6, 12]
         with pytest.raises(ValueError):
             _divisors(12, (2,))
@@ -372,6 +395,29 @@ class TestGenerate:
         for shape in self.PINNED_SHAPES:
             h.update(dumps(generate(**shape)).encode())
         assert h.hexdigest() == self.PINNED_DIGEST
+
+    # Shapes that pin a hardness constraint to False, or both to True: the
+    # cells where the order of the rejection tests matters most. The first
+    # two are the benchmark design grid's collapse-vulnerable cell and its
+    # 24-bit t = 4 collapse- and peel-resistant cell.
+    CONSTRAINED_SHAPES = (
+        dict(seed=27, bits=32, t=2, require_collapse_resistant=False,
+             require_peel_resistant=True, max_order_product=1 << 20),
+        dict(seed=8, bits=24, t=4, require_collapse_resistant=True,
+             require_peel_resistant=True, max_order_product=1 << 16),
+        dict(seed=10, bits=20, t=3, require_collapse_resistant=False),
+        dict(seed=11, bits=24, t=2, require_collapse_resistant=True,
+             require_peel_resistant=False),
+        dict(seed=12, bits=32, t=3, require_collapse_resistant=True,
+             require_peel_resistant=True, max_order_product=1 << 18),
+    )
+    CONSTRAINED_DIGEST = "aa25099a3c6dd03509aa44e8f81568c0a8a6c2d30a9ce78ec0a1fe4d796459c3"
+
+    def test_constrained_documents_are_pinned(self):
+        h = hashlib.sha256()
+        for shape in self.CONSTRAINED_SHAPES:
+            h.update(dumps(generate(**shape)).encode())
+        assert h.hexdigest() == self.CONSTRAINED_DIGEST
 
 
 class TestSerialization:
