@@ -20,20 +20,20 @@ from mdlp.indexcalc import relation_holds
 P, ALPHA, BETA = 107, 2, 61
 
 fb = build_factor_base(P, 7)
-print(f"factor base for p={P}, B=7: {fb.primes}")
+print(f"factor base for p={P}, B=7: {fb}")
 
 mat = collect_relations(P, ALPHA, fb, slack=3, seed=1)
 print(f"\ncollected {len(mat.rows)} smooth relations (need {len(fb)} + 3):")
 for rel in mat.rows[:6]:
     terms = " * ".join(
-        f"{q}^{a}" for q, a in zip(fb.primes, rel.exponents) if a
+        f"{q}^{a}" for q, a in zip(fb, rel.exponents) if a
     ) or "1"
     print(f"  {ALPHA}^{rel.k} = {terms} (mod {P})   holds: {relation_holds(P, ALPHA, fb, rel)}")
 print("  ...")
 
 logs = solve_base_logs(mat)
 print("\nbase logs (each re-verified by powering):")
-for q, log in zip(fb.primes, logs):
+for q, log in zip(fb, logs):
     print(f"  log_{ALPHA}({q}) = {log:>3}   check: {ALPHA}^{log} mod {P} = {pow(ALPHA, log, P)}")
 
 x = dlp_via_index_calculus(P, ALPHA, BETA, bound=7, seed=1)

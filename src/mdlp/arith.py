@@ -1,11 +1,12 @@
 """Exact modular arithmetic over Python's native big integers.
 
 Integer factorization (trial division plus Brent's cycle variant of
-Pollard rho), primality testing, the Carmichael function, multiplicative
-order computation, the baby-step giant-step logarithm in a subgroup of
-prime-power order that both the solvers and the independence check use,
-and the row reduction mod q**e that index calculus and the independence
-check share. Apart from that reduction, which works in place, everything
+Pollard rho), primality testing, a modulus given by its factorization
+alone, from which n and the Carmichael function lambda(n), factored, are
+derived once, multiplicative order computation, the baby-step giant-step
+logarithm in a subgroup of prime-power order that both the solvers and
+the independence check use, and the row reduction mod q**e that index
+calculus and the independence check share. Apart from that reduction, which works in place, everything
 here is a pure function over immutable values.
 """
 
@@ -138,17 +139,13 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
     return g
 
 
-def factorize(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete prime-power factorization, ascending primes.
 
-    Trial division up to ``trial_bound`` first, then deterministic-seed
+    Trial division up to DEFAULT_TRIAL_BOUND first, then deterministic-seed
     Brent-rho on whatever survives. Raises BudgetExceeded when the rho
-    budget runs out, so a caller holding a known factorization can supply
-    it instead.
+    budget DEFAULT_RHO_BUDGET runs out, so a caller holding a known
+    factorization can supply it instead.
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
@@ -162,14 +159,14 @@ def factorize(
     f = 7
     skip = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
-    while f * f <= rest and f <= trial_bound:
+    while f * f <= rest and f <= DEFAULT_TRIAL_BOUND:
         while rest % f == 0:
             counts[f] = counts.get(f, 0) + 1
             rest //= f
         f += skip[idx]
         idx = (idx + 1) % len(skip)
 
-    budget = [rho_budget]
+    budget = [DEFAULT_RHO_BUDGET]
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
@@ -203,25 +200,14 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def carmichael(factorization: Factorization) -> int:
-    """Exponent of the unit group: lcm of the prime-power components."""
-    out = 1
-    for p, a in factorization:
-        if p == 2:
-            comp = 1 if a == 1 else 2 if a == 2 else 1 << (a - 2)
-        else:
-            comp = p ** (a - 1) * (p - 1)
-        out = out // math.gcd(out, comp) * comp
-    return out
-
-
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus n >= 2 together with its factorization and lambda(n)."""
+    """A modulus n >= 2, given by its factorization alone.
 
-    n: int
+    n and lambda(n) are derived from it on first use and cached.
+    """
+
     factorization: Factorization
-    carmichael: int
 
     @classmethod
     def from_factorization(cls, factorization: Factorization) -> "Modulus":
@@ -231,7 +217,7 @@ class Modulus:
         for p, _ in factorization:
             if not is_probable_prime(p):
                 raise InvalidModulus(f"listed factor {p} is not prime")
-        return cls(n, factorization, carmichael(factorization))
+        return cls(factorization)
 
     @classmethod
     def from_int(cls, n: int) -> "Modulus":
@@ -240,22 +226,31 @@ class Modulus:
         return cls.from_factorization(factorize(n))
 
     @cached_property
-    def carmichael_primes(self) -> tuple[int, ...]:
-        """The primes of lambda(n), ascending, factored once per modulus.
+    def n(self) -> int:
+        return self.factorization.n
 
-        They are the primes of each p - 1, each p with a >= 2, and 2 when
-        4 | n; each p - 1 is far smaller than lambda(n) itself.
+    @cached_property
+    def carmichael_factorization(self) -> Factorization:
+        """lambda(n), the exponent of the unit group, factored once per modulus.
+
+        lambda(n) is the lcm over p**a || n of p**(a-1) * (p - 1) for odd p,
+        and of 1, 2 or 2**(a-2) for 2**a with a = 1, 2 or a >= 3. Only each
+        p - 1 is factored, and it is far smaller than lambda(n) itself.
         """
-        primes: set[int] = set()
+        exps: dict[int, int] = {}
         for p, a in self.factorization:
             if p == 2:
-                if a >= 2:
-                    primes.add(2)
-                continue
-            if a >= 2:
-                primes.add(p)
-            primes.update(factorize(p - 1).primes)
-        return tuple(sorted(primes))
+                parts = [(2, 0 if a == 1 else 1 if a == 2 else a - 2)]
+            else:
+                parts = [(p, a - 1), *factorize(p - 1)]
+            for q, b in parts:
+                exps[q] = max(exps.get(q, 0), b)
+        return Factorization(tuple(sorted((q, b) for q, b in exps.items() if b)))
+
+    @cached_property
+    def carmichael(self) -> int:
+        """lambda(n) as an integer."""
+        return self.carmichael_factorization.n
 
 
 def as_modulus(m) -> Modulus:
@@ -279,11 +274,8 @@ def multiplicative_order(g: int, m) -> int:
         raise NotAUnit(g, n, gcd)
     lam = mod.carmichael
     r = 1
-    for p in mod.carmichael_primes:
-        pa = p
-        while lam % (pa * p) == 0:
-            pa *= p
-        h = pow(g, lam // pa, n)
+    for p, a in mod.carmichael_factorization:
+        h = pow(g, lam // p**a, n)
         while h != 1:
             h = pow(h, p, n)
             r *= p

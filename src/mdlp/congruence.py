@@ -31,14 +31,6 @@ class Congruence:
         return x % self.modulus == self.residue
 
 
-@dataclass(frozen=True)
-class CrtSolution:
-    """The unique residue class mod lcm(all input moduli)."""
-
-    residue: int
-    modulus: int
-
-
 def solvable_pair(c1: Congruence, c2: Congruence) -> bool:
     """True iff gcd(m1, m2) divides the residue difference."""
     return (c1.residue - c2.residue) % math.gcd(c1.modulus, c2.modulus) == 0
@@ -56,8 +48,9 @@ def _merge(c1: Congruence, c2: Congruence) -> Optional[Congruence]:
     return Congruence(b1 + m1 * t, l)
 
 
-def solve_system(system) -> CrtSolution:
-    """Merge a congruence system into its unique solution mod the lcm.
+def solve_system(system) -> Congruence:
+    """Merge a congruence system into its unique solution: one residue
+    class mod the lcm of all the moduli.
 
     Raises UnsolvableSystem carrying a witnessing pair of item indices when
     no common solution exists.
@@ -76,7 +69,7 @@ def solve_system(system) -> CrtSolution:
                     raise UnsolvableSystem((j, i), items[j], c)
             raise AssertionError("merge failed but all pairs are solvable")
         acc = merged
-    return CrtSolution(acc.residue, acc.modulus)
+    return acc
 
 
 def split_exponent(k: int, orders: Sequence[int]) -> list[int]:

@@ -38,32 +38,23 @@ DEFAULT_RELATION_TRIALS = 200_000
 DEFAULT_SHIFT_TRIALS = 50_000
 
 
-@dataclass(frozen=True)
-class FactorBase:
-    primes: tuple[int, ...]
-    bound: int
-
-    def __len__(self):
-        return len(self.primes)
-
-
-def build_factor_base(p: int, bound: int) -> FactorBase:
-    """All primes <= bound, ascending. p itself is left out."""
+def build_factor_base(p: int, bound: int) -> tuple[int, ...]:
+    """The factor base: all primes <= bound, ascending. p itself is left out."""
     if bound < 2:
         raise ValueError(f"smoothness bound must be >= 2, got {bound}")
-    return FactorBase(tuple(q for q in primes_up_to(bound) if q != p), bound)
+    return tuple(q for q in primes_up_to(bound) if q != p)
 
 
-def try_smooth(x: int, fb: FactorBase) -> tuple[list[int], int]:
+def try_smooth(x: int, fb: tuple[int, ...]) -> tuple[list[int], int]:
     """Trial-divide x over the factor base.
 
     Returns (exponent vector, cofactor); x is smooth iff the cofactor is 1.
     """
     if x < 1:
         raise ValueError(f"smoothness test needs x >= 1, got {x}")
-    exps = [0] * len(fb.primes)
+    exps = [0] * len(fb)
     rest = x
-    for i, q in enumerate(fb.primes):
+    for i, q in enumerate(fb):
         while rest % q == 0:
             rest //= q
             exps[i] += 1
@@ -83,13 +74,13 @@ class RelationMatrix:
     p: int
     alpha: int
     order: int
-    fb: FactorBase
+    fb: tuple[int, ...]
     rows: tuple[Relation, ...]
 
 
-def relation_holds(p: int, alpha: int, fb: FactorBase, rel: Relation) -> bool:
+def relation_holds(p: int, alpha: int, fb: tuple[int, ...], rel: Relation) -> bool:
     rhs = 1
-    for q, a in zip(fb.primes, rel.exponents):
+    for q, a in zip(fb, rel.exponents):
         rhs = rhs * pow(q, a, p) % p
     return pow(alpha, rel.k, p) == rhs
 
@@ -97,22 +88,29 @@ def relation_holds(p: int, alpha: int, fb: FactorBase, rel: Relation) -> bool:
 def collect_relations(
     p: int,
     alpha: int,
-    fb: FactorBase,
+    fb: tuple[int, ...],
     slack: int = DEFAULT_SLACK,
     seed: int = 0,
     order: Optional[int] = None,
-    max_trials: int = DEFAULT_RELATION_TRIALS,
 ) -> RelationMatrix:
     """At least len(fb) + slack verified relations, deterministic in seed.
 
     Rows are deduped and sorted before assembly so the downstream solve is
-    stable no matter how the collection was scheduled.
+    stable no matter how the collection was scheduled. Raises
+    BudgetExceeded at once when alpha's order n is below that count, since
+    the n exponents k give at most n distinct relations, and after
+    DEFAULT_RELATION_TRIALS trials otherwise.
     """
     n = order if order is not None else multiplicative_order(alpha, Modulus.from_int(p))
-    rng = random.Random(seed)
     want = len(fb) + slack
+    if n < want:
+        raise BudgetExceeded(
+            f"alpha={alpha} has order {n} mod {p}, so at most {n} distinct "
+            f"relations exist; {want} are needed"
+        )
+    rng = random.Random(seed)
     found: set[Relation] = set()
-    for _ in range(max_trials):
+    for _ in range(DEFAULT_RELATION_TRIALS):
         k = rng.randrange(n)
         exps, cofactor = try_smooth(pow(alpha, k, p), fb)
         if cofactor != 1:
@@ -125,8 +123,8 @@ def collect_relations(
             rows = tuple(sorted(found, key=lambda r: (r.k, r.exponents)))
             return RelationMatrix(p, alpha, n, fb, rows)
     raise BudgetExceeded(
-        f"only {len(found)}/{want} relations after {max_trials} trials "
-        f"(bound {fb.bound} too small for p={p}?)"
+        f"only {len(found)}/{want} relations after {DEFAULT_RELATION_TRIALS} trials "
+        f"({len(fb)} factor-base primes too few for p={p}?)"
     )
 
 
@@ -170,7 +168,7 @@ def solve_base_logs(mat: RelationMatrix) -> list[int]:
     for i in range(m):
         sol = solve_system([Congruence(x[i], qe) for qe, x in components])
         logs.append(sol.residue % mat.order)
-    for q, log in zip(mat.fb.primes, logs):
+    for q, log in zip(mat.fb, logs):
         if pow(mat.alpha, log, mat.p) != q % mat.p:
             raise RankDeficient(
                 f"solved log of {q} fails verification; {q} may be outside <alpha>"
@@ -197,7 +195,7 @@ def dlp_via_index_calculus(
         raise ValueError("alpha and beta must be units mod p")
     alpha %= p
     beta %= p
-    n = multiplicative_order(alpha, Modulus.from_factorization(Factorization(((p, 1),))))
+    n = multiplicative_order(alpha, Modulus(Factorization(((p, 1),))))
     fb = build_factor_base(p, bound)
 
     logs = None

@@ -19,19 +19,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import subgroup
-from .arith import (
-    Factorization,
-    Modulus,
-    as_modulus,
-    carmichael,
-    is_probable_prime,
-    multiplicative_order,
-)
-from .congruence import Congruence, CrtSolution, solve_system
+from .arith import Factorization, Modulus, as_modulus, is_probable_prime, multiplicative_order
+from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, GenerationFailed, IndependenceViolation
 
 SCHEMA_VERSION = 1
 DEFAULT_CELL_BUDGET = 1 << 14
+DEFAULT_MAX_ATTEMPTS = 4000
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ class CollapseCheck:
 
     resistant: bool
     witness_pair: Optional[tuple[int, int]] = None
-    collapse_exponent: Optional[CrtSolution] = None
+    collapse_exponent: Optional[Congruence] = None
 
 
 @dataclass(frozen=True)
@@ -240,18 +234,18 @@ def truth_table(
     g2: int,
     k1_values: Sequence[int],
     k2_values: Sequence[int],
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> list[list[int]]:
     """Rows of g1**k1 * g2**k2 mod n, one row per k2, one column per k1.
 
     True exponents throughout; nothing is silently reduced mod an order.
+    Raises BudgetExceeded past DEFAULT_CELL_BUDGET cells.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     k1s, k2s = list(k1_values), list(k2_values)
-    if len(k1s) * len(k2s) > cell_budget:
+    if len(k1s) * len(k2s) > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
-            f"table of {len(k1s)}x{len(k2s)} cells exceeds budget {cell_budget}"
+            f"table of {len(k1s)}x{len(k2s)} cells exceeds budget {DEFAULT_CELL_BUDGET}"
         )
     col = {k1: pow(g1, k1, n) for k1 in k1s}
     return [[col[k1] * pow(g2, k2, n) % n for k1 in k1s] for k2 in k2s]
@@ -336,8 +330,7 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
             rest //= p
     # Every prime in chosen came from _random_odd_prime, which has already
     # tested it, so Modulus.from_factorization's own test is skipped.
-    factorization = Factorization(tuple(sorted(counts.items())))
-    return Modulus(prod, factorization, carmichael(factorization))
+    return Modulus(Factorization(tuple(sorted(counts.items()))))
 
 
 def _divisors(n: int, primes: Sequence[int], cap: Optional[int] = None) -> list[int]:
@@ -387,7 +380,6 @@ def generate(
     require_collapse_resistant: Optional[bool] = None,
     require_peel_resistant: Optional[bool] = None,
     max_order_product: Optional[int] = None,
-    max_attempts: int = 4000,
 ) -> Instance:
     """Rejection-sample a valid instance, deterministically in ``seed``.
 
@@ -400,8 +392,8 @@ def generate(
     independence check. The witness is the attempt's last random draw, so
     the order of the tests after it does not change which instance a seed
     gives. Raises ValueError for a constraint no instance can meet, and
-    GenerationFailed, carrying the rejections by stage, when the attempt
-    budget runs out.
+    GenerationFailed, carrying the rejections by stage, after
+    DEFAULT_MAX_ATTEMPTS attempts.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -435,7 +427,7 @@ def generate(
     }
     rejections = dict.fromkeys(REJECTION_STAGES, 0)
 
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_MAX_ATTEMPTS):
         modulus = _sample_modulus(rng, bits, parts=min(max(t, 2), 3))
         if modulus is None:
             rejections["modulus"] += 1
@@ -452,7 +444,7 @@ def generate(
                     continue
                 r = multiplicative_order(u, modulus)
                 # the divisors in [2, cap_each]: all but the leading 1
-                opts = _divisors(r, modulus.carmichael_primes, cap_each)[1:]
+                opts = _divisors(r, modulus.carmichael_factorization.primes, cap_each)[1:]
                 if not opts:
                     continue
                 # two draws, keep the larger: biases toward roomier boxes

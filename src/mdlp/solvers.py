@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .arith import Factorization, Modulus, _prime_power_log, factorize, multiplicative_order
-from .congruence import Congruence, CrtSolution, solve_system, split_exponent
+from .congruence import Congruence, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
 
@@ -42,7 +42,6 @@ METHOD_SINGLE_DLP = "single-dlp"
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 DEFAULT_MEMORY_CAP = 1 << 22
-DEFAULT_PEEL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -204,24 +203,21 @@ def solve_exhaustive(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, hit + 1)
 
 
-def solve_mitm(
-    inst: Instance,
-    *,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Optional[Solution]:
+def solve_mitm(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[Solution]:
     """Meet-in-the-middle over the exponent box; same answer as exhaustive.
 
     Tabulates the products over the last t - ceil(t/2) generators, then
     walks the first ceil(t/2), looking beta * (first half)**-1 up in the
-    table. ``memory_cap`` bounds the table and ``work`` is the size of
-    both halves.
+    table. DEFAULT_MEMORY_CAP bounds the table and ``work`` is the size
+    of both halves.
     """
     h = (inst.t + 1) // 2
     left_total = math.prod(inst.orders[:h])
     right_total = math.prod(inst.orders[h:])
-    if right_total > memory_cap:
-        raise BudgetExceeded(f"mitm table of {right_total} entries exceeds cap {memory_cap}")
+    if right_total > DEFAULT_MEMORY_CAP:
+        raise BudgetExceeded(
+            f"mitm table of {right_total} entries exceeds cap {DEFAULT_MEMORY_CAP}"
+        )
     if left_total + right_total > budget:
         raise BudgetExceeded(
             f"mitm scan of {left_total + right_total} candidates exceeds budget {budget}"
@@ -272,12 +268,12 @@ class PeelResult:
     """
 
     status: str
-    congruences: dict[int, CrtSolution]
+    congruences: dict[int, Congruence]
     solution: Optional[Solution]
     work: int
 
 
-def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelResult:
+def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelResult:
     """Leak exponent residues through primes where the other generators
     vanish, then enumerate what remains of the exponent box.
 
@@ -287,7 +283,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
     reduction is attacker-checkable: it never peeks at the witness.
     """
     ops = [0]
-    congruences: dict[int, CrtSolution] = {}
+    congruences: dict[int, Congruence] = {}
     for i, g in enumerate(inst.generators):
         entries = []
         for p in inst.modulus.factorization.primes:
@@ -296,8 +292,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
             h = g % p
             if h == 1 or p < 3:
                 continue
-            prime = Modulus.from_factorization(Factorization(((p, 1),)))
-            local_order = multiplicative_order(h, prime)
+            local_order = multiplicative_order(h, Modulus(Factorization(((p, 1),))))
             x = solve_dlp(DlpTask(h, inst.beta % p, p, local_order), ops)
             if x is None:
                 continue
@@ -325,7 +320,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_PEEL_BUDGET) -> PeelRes
     return PeelResult("solved", congruences, sol, work)
 
 
-def _peel_box(orders: Sequence[int], congruences: dict[int, CrtSolution]) -> list[range]:
+def _peel_box(orders: Sequence[int], congruences: dict[int, Congruence]) -> list[range]:
     """The exponent box with each pinned k_i restricted to its residue class."""
     return [
         range(congruences[i].residue, r, congruences[i].modulus) if i in congruences else range(r)

@@ -133,7 +133,7 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.
     deficient = []
-    for q in mod.carmichael_primes:
+    for q in mod.carmichael_factorization.primes:
         vals = [_valuation(r, q) for r in orders]
         if sum(v > 0 for v in vals) < 2:
             continue

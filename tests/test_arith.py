@@ -1,14 +1,15 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlp import arith
 from mdlp.arith import (
     Factorization,
     Modulus,
-    carmichael,
     factorize,
     is_probable_prime,
     multiplicative_order,
@@ -72,8 +73,10 @@ class TestFactorize:
             factorize(1)
 
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
-            factorize(1_000_003 * 1_000_033, trial_bound=100, rho_budget=3)
+        with mock.patch.object(arith, "DEFAULT_TRIAL_BOUND", 100), \
+                mock.patch.object(arith, "DEFAULT_RHO_BUDGET", 3), \
+                pytest.raises(BudgetExceeded):
+            factorize(1_000_003 * 1_000_033)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,14 +98,13 @@ class TestPrimality:
 
 class TestTotients:
     def test_values_for_35(self):
-        f = factorize(35)
-        assert carmichael(f) == 12
+        assert Modulus.from_int(35).carmichael == 12
 
     def test_powers_of_two(self):
-        assert carmichael(factorize(2)) == 1
-        assert carmichael(factorize(4)) == 2
-        assert carmichael(factorize(8)) == 2
-        assert carmichael(factorize(32)) == 8
+        assert Modulus.from_int(2).carmichael == 1
+        assert Modulus.from_int(4).carmichael == 2
+        assert Modulus.from_int(8).carmichael == 2
+        assert Modulus.from_int(32).carmichael == 8
 
     def test_carmichael_divides_euler(self):
         rng = random.Random(13)
@@ -111,13 +113,19 @@ class TestTotients:
             phi = math.prod(p ** (a - 1) * (p - 1) for p, a in m.factorization)
             assert phi % m.carmichael == 0
 
-    def test_carmichael_primes_factor_lambda(self):
-        rng = random.Random(19)
-        cases = [2, 4, 8, 9, 16, 27, 2 * 125, 4 * 49, 1_000_003 * 1_000_033]
-        for n in cases + [rng.randrange(2, 1 << 30) for _ in range(100)]:
+    def test_carmichael_factorization_matches_formula(self):
+        # Every n up to 20,000, prime powers and 2**a included, against
+        # lambda(n) built as the lcm of its prime-power components.
+        for n in list(range(2, 20_001)) + [1_000_003 * 1_000_033]:
             m = Modulus.from_int(n)
-            want = factorize(m.carmichael).primes if m.carmichael > 1 else ()
-            assert m.carmichael_primes == want
+            lam = math.lcm(*(
+                (1 if a == 1 else 2 if a == 2 else 2 ** (a - 2)) if p == 2
+                else p ** (a - 1) * (p - 1)
+                for p, a in m.factorization
+            ))
+            assert m.carmichael == lam
+            want = factorize(lam) if lam > 1 else Factorization(())
+            assert m.carmichael_factorization == want
 
     def test_units_killed_by_carmichael(self):
         rng = random.Random(17)

@@ -120,11 +120,13 @@ def test_exhaustive_matches_oracle(inst):
 def test_mitm_matches_oracle(inst, memory_cap):
     h = (inst.t + 1) // 2
     if math.prod(inst.orders[h:]) > memory_cap:
-        with pytest.raises(BudgetExceeded):
-            solve_mitm(inst, memory_cap=memory_cap)
+        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", memory_cap), \
+                pytest.raises(BudgetExceeded):
+            solve_mitm(inst)
         return
     hits = _lexicographic_hits(inst, _full_box(inst))
-    sol = solve_mitm(inst, memory_cap=memory_cap)
+    with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", memory_cap):
+        sol = solve_mitm(inst)
     if not hits:
         assert sol is None
     else:

@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import mdlp
+from mdlp import indexcalc
 from mdlp.cli import build_parser, main
 from mdlp.instance import dumps, generate, make_instance, to_json_dict
 
@@ -234,6 +236,16 @@ class TestIndexCalcCommands:
                              "--beta", "61", "--bound", "7")
         assert code == 0
         assert doc["result"] == {"log": "10", "verified": True}
+
+    def test_indexcalc_order_too_small_exits_three(self, capsys):
+        def no_trial(x, fb):
+            raise AssertionError("smoothness trial run for an unreachable count")
+
+        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+            code, doc = run_json(capsys, "indexcalc", "--p", "107", "--alpha", "106",
+                                 "--beta", "106", "--bound", "7")
+        assert code == 3
+        assert "has order 2 mod 107" in doc["error"]
 
     def test_indexcalc_composite_p(self, capsys):
         code, _ = run(capsys, "indexcalc", "--p", "105", "--alpha", "2",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mdlp.congruence import (
     Congruence,
-    CrtSolution,
     solvable_pair,
     solve_system,
     split_exponent,
@@ -44,16 +43,16 @@ class TestSolvablePair:
 class TestSolveSystem:
     def test_non_coprime_pair(self):
         sol = solve_system([Congruence(3, 4), Congruence(1, 6)])
-        assert sol == CrtSolution(7, 12)
+        assert sol == Congruence(7, 12)
         assert brute_solutions([Congruence(3, 4), Congruence(1, 6)], 12) == [7]
 
     def test_zero_residues(self):
         sol = solve_system([Congruence(0, 6), Congruence(0, 10)])
-        assert sol == CrtSolution(0, 30)
+        assert sol == Congruence(0, 30)
 
     def test_redundant_congruence(self):
         sys_ = [Congruence(3, 4), Congruence(1, 6), Congruence(7, 12)]
-        assert solve_system(sys_) == CrtSolution(7, 12)
+        assert solve_system(sys_) == Congruence(7, 12)
 
     def test_unsolvable_carries_pair(self):
         with pytest.raises(UnsolvableSystem) as exc:
@@ -139,7 +138,7 @@ class TestSolveSystem:
             if all(c.holds_for(x) for c in items)
         ]
         if found:
-            assert solve_system(items) == CrtSolution(found[0], lcm)
+            assert solve_system(items) == Congruence(found[0], lcm)
             assert len(found) == 1
         else:
             assert planted is None

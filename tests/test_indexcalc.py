@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlp import arith
+from mdlp import arith, indexcalc
 from mdlp.arith import _row_reduce, factorize, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
@@ -37,13 +37,13 @@ def primitive_root(p):
 
 class TestFactorBase:
     def test_bound_ten(self):
-        assert build_factor_base(997, 10).primes == (2, 3, 5, 7)
+        assert build_factor_base(997, 10) == (2, 3, 5, 7)
 
     def test_bound_two(self):
-        assert build_factor_base(997, 2).primes == (2,)
+        assert build_factor_base(997, 2) == (2,)
 
     def test_bound_seven(self):
-        assert build_factor_base(107, 7).primes == (2, 3, 5, 7)
+        assert build_factor_base(107, 7) == (2, 3, 5, 7)
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
@@ -90,9 +90,10 @@ class TestCollectRelations:
 
     def test_budget_when_bound_hopeless(self):
         p = 99991
-        with pytest.raises(BudgetExceeded):
+        with mock.patch.object(indexcalc, "DEFAULT_RELATION_TRIALS", 200), \
+                pytest.raises(BudgetExceeded, match="after 200 trials"):
             collect_relations(p, primitive_root(p), build_factor_base(p, 2),
-                              slack=3, seed=1, max_trials=200)
+                              slack=3, seed=1)
 
 
 class TestSolveBaseLogs:
@@ -101,7 +102,7 @@ class TestSolveBaseLogs:
         fb = build_factor_base(p, 7)
         mat = collect_relations(p, alpha, fb, slack=5, seed=1)
         logs = solve_base_logs(mat)
-        for q, log in zip(fb.primes, logs):
+        for q, log in zip(fb, logs):
             assert pow(alpha, log, p) == q
             assert log == solve_dlp(DlpTask(alpha, q, p, p - 1))
 
@@ -109,7 +110,7 @@ class TestSolveBaseLogs:
         p, alpha = 107, 2
         fb = build_factor_base(p, 7)
         logs = solve_base_logs(collect_relations(p, alpha, fb, slack=5, seed=2))
-        assert logs[fb.primes.index(2)] == 1
+        assert logs[fb.index(2)] == 1
 
     def test_rank_deficient_rows(self):
         fb = build_factor_base(107, 7)
@@ -143,6 +144,17 @@ class TestDlpViaIndexCalculus:
 
         with mock.patch.object(arith, "factorize", guarded):
             assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
+
+    def test_order_below_relation_count_fails_before_any_trial(self):
+        # ord(106) = 2 and ord(1) = 1 mod 107: fewer distinct relations
+        # exist than the 4 + 10 the first round needs.
+        def no_trial(x, fb):
+            raise AssertionError("smoothness trial run for an unreachable count")
+
+        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+            for alpha, order in ((106, 2), (1, 1)):
+                with pytest.raises(BudgetExceeded, match=f"has order {order} mod 107"):
+                    dlp_via_index_calculus(107, alpha, alpha, bound=7)
 
     def test_deterministic(self):
         a = dlp_via_index_calculus(10007, 5, 1234, bound=30, seed=4)

@@ -4,12 +4,13 @@ import json
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlp import subgroup
+from mdlp import instance, subgroup
 from mdlp.arith import Factorization, factorize
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import (
@@ -261,7 +262,8 @@ class TestTruthTable:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            truth_table(35, 13, 19, range(1, 200), range(1, 200), cell_budget=100)
+            with mock.patch.object(instance, "DEFAULT_CELL_BUDGET", 100):
+                truth_table(35, 13, 19, range(1, 12), range(1, 12))
 
     def test_degenerate_modulus(self):
         with pytest.raises(ValueError):
@@ -347,10 +349,10 @@ class TestGenerate:
     def test_rejections_counted_by_stage(self):
         # Satisfiable (the constrained pin below generates this shape with
         # the default budget), but not within six attempts.
-        with pytest.raises(GenerationFailed) as exc:
+        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 6), \
+                pytest.raises(GenerationFailed) as exc:
             generate(8, bits=24, t=4, require_collapse_resistant=True,
-                     require_peel_resistant=True, max_order_product=1 << 16,
-                     max_attempts=6)
+                     require_peel_resistant=True, max_order_product=1 << 16)
         rejections = exc.value.rejections
         assert list(rejections) == list(REJECTION_STAGES)
         assert sum(rejections.values()) == exc.value.attempts == 6

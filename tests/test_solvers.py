@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 
 import mdlp
-from mdlp import arith
+from mdlp import arith, solvers
 from mdlp.arith import Modulus, multiplicative_order
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import AllMethodsExhausted, BudgetExceeded
@@ -139,7 +140,8 @@ class TestSolveMitm:
 
     def test_memory_cap(self, worked_example):
         with pytest.raises(BudgetExceeded):
-            solve_mitm(worked_example, memory_cap=2)
+            with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 2):
+                solve_mitm(worked_example)
 
     def test_agrees_with_exhaustive_on_random_instances(self):
         for i in range(100):
@@ -236,6 +238,24 @@ class TestAttackPeel:
 
         with mock.patch.object(arith, "factorize", guarded):
             assert attack_peel(inst).solution.exponents == inst.witness
+
+    def test_default_budget_is_the_search_budget(self):
+        # g1 is 2 mod 11 and 1 mod p; g2 and g3 are 1 mod 11 and of the
+        # coprime orders 1499 and 1511 mod p = 1 + 12 * 1499 * 1511. Peel
+        # pins k1 alone and leaves 1499 * 1511 = 2,264,989 tuples, above
+        # 10**6 and within DEFAULT_SEARCH_BUDGET; the hit is in row 1.
+        p = 27_179_869
+        g1 = solve_system([Congruence(2, 11), Congruence(1, p)]).residue
+        g2, g3 = (
+            solve_system([Congruence(1, 11), Congruence(pow(2, (p - 1) // r, p), p)]).residue
+            for r in (1499, 1511)
+        )
+        inst = make_instance(11 * p, [g1, g2, g3], witness=(7, 1, 5))
+        assert inst.orders == (10, 1499, 1511)
+        res = attack_peel(inst)
+        assert res.status == "solved"
+        assert res.solution.exponents == inst.witness
+        assert solve(inst, "peel") == res.solution
 
     def test_not_found_outside_span(self):
         # beta = 19 is not in <13>; the leaked congruences cover [0, 4)
@@ -339,3 +359,15 @@ else:
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statement_in_src():
+    # assert vanishes under python -O, so every check in the package must be
+    # an explicit raise, also on paths the -O run above does not reach.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(mdlp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
