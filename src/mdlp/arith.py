@@ -5,9 +5,10 @@ Pollard rho), primality testing, a modulus given by its factorization
 alone, from which n and the Carmichael function lambda(n), factored, are
 derived once, multiplicative order computation, the baby-step giant-step
 logarithm in a subgroup of prime-power order that both the solvers and
-the independence check use, and the row reduction mod q**e that index
-calculus and the independence check share. Apart from that reduction, which works in place, everything
-here is a pure function over immutable values.
+the independence check use, and the one echelon kernel mod q**e, with
+least-valuation pivots, that the independence check and index calculus
+share. Apart from that kernel, which works in place, everything here is
+a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -330,28 +331,45 @@ def _prime_power_log(
 # Linear algebra mod q**e
 
 
-def _row_reduce(aug: list[list[int]], ncols: int, q: int, e: int) -> list[int]:
-    """Reduce the rows of ``aug`` (entries in [0, q**e)) in place mod q**e.
+def _valuation(x: int, q: int) -> int:
+    """The exponent of q in x != 0."""
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
 
-    Each of the first ``ncols`` columns gets a pivot only if some row not
-    yet used has a unit mod q there; the pivot row is scaled to 1 and the
-    column cleared in every other row. A column without one is skipped.
-    Returns the pivot columns in order; the i-th of them is pivoted in row
-    i. Columns past ``ncols`` (right-hand sides) are carried along.
+
+def _echelon(rows: list[list[int]], ncols: int, q: int, e: int) -> list[tuple[int, int]]:
+    """Echelon ``rows`` (entries in [0, q**e)) in place mod q**e.
+
+    Step i takes an entry of least q-valuation v in rows i onward and the
+    first ``ncols`` columns, searching no further than the first row that
+    holds a unit. Its row moves to row i, scaled by a unit so the entry is
+    q**v, and clears the column in every later row, which q**v divides,
+    and in every row when v = 0. Returns (column, v) per pivot, the k-th
+    in row k. v never falls from one step to the next, so the v are the
+    Smith valuations mod q**e. Columns past ``ncols`` are carried along.
     """
     qe = q**e
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        sel = next((r for r in range(row, len(aug)) if aug[r][col] % q), None)
+    pivots: list[tuple[int, int]] = []
+    for i in range(len(rows)):
+        v, sel, col = e, None, None
+        for r in range(i, len(rows)):
+            for c in range(ncols):
+                if rows[r][c] and (w := _valuation(rows[r][c], q)) < v:
+                    v, sel, col = w, r, c
+            if v == 0:
+                break
         if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], -1, qe)
-        aug[row] = [c * inv % qe for c in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(cr - f * cp) % qe for cr, cp in zip(aug[r], aug[row])]
-        pivots.append(col)
+            break
+        rows[i], rows[sel] = rows[sel], rows[i]
+        qv = q**v
+        inv = pow(rows[i][col] // qv, -1, qe)
+        pivot = rows[i] = [x * inv % qe for x in rows[i]]
+        for r in range(0 if v == 0 else i + 1, len(rows)):
+            if r != i and rows[r][col]:
+                f = rows[r][col] // qv
+                rows[r] = [(x - f * y) % qe for x, y in zip(rows[r], pivot)]
+        pivots.append((col, v))
     return pivots

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _row_reduce, factorize, is_probable_prime
+from .arith import Factorization, Modulus, _echelon, factorize, is_probable_prime
 from .arith import multiplicative_order, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
@@ -133,7 +133,9 @@ def _solve_mod_prime_power(
 ) -> list[int]:
     """Unique solution of A x = b mod q**e; RankDeficient when there is none.
 
-    The solution is unique exactly when every column gets a unit pivot.
+    It is unique iff the echelon kernel gives every column a pivot of
+    valuation 0 and every row past the pivots has a zero right-hand side;
+    x at each pivot column is then its pivot row's right-hand side.
     """
     qe = q**e
     aug = [[c % qe for c in coeffs] + [rhs % qe] for coeffs, rhs in rows]
@@ -142,13 +144,10 @@ def _solve_mod_prime_power(
     for col in range(ncols):
         if all(row[col] % q == 0 for row in aug):
             raise RankDeficient(f"no unit pivot for column {col} mod {q}**{e}")
-    pivots = _row_reduce(aug, ncols, q, e)
-    if len(pivots) < ncols:
-        col = min(set(range(ncols)).difference(pivots))
-        raise RankDeficient(f"no unit pivot for column {col} mod {q}**{e}")
-    if any(row[ncols] for row in aug[ncols:]):
-        raise RankDeficient(f"inconsistent relation system mod {q}**{e}")
-    return [row[ncols] for row in aug[:ncols]]
+    pivots = _echelon(aug, ncols, q, e)
+    if [v for _, v in pivots] != [0] * ncols or any(row[ncols] for row in aug[ncols:]):
+        raise RankDeficient(f"no unique solution mod {q}**{e}")
+    return [row[ncols] for _, row in sorted(zip(pivots, aug))]
 
 
 def solve_base_logs(mat: RelationMatrix) -> list[int]:
@@ -185,9 +184,9 @@ def dlp_via_index_calculus(
 ) -> int:
     """log_alpha beta mod p by the five-step pipeline above.
 
-    beta must lie in <alpha>; the returned exponent is verified by
-    powering before it is returned. Raises BudgetExceeded when smoothness
-    retries run out.
+    Raises ValueError when beta is outside <alpha>, before any relation
+    is collected. The returned exponent is verified by powering before it
+    is returned. Raises BudgetExceeded when smoothness retries run out.
     """
     if not is_probable_prime(p):
         raise ValueError(f"index calculus here works over prime fields; {p} is composite")
@@ -196,6 +195,9 @@ def dlp_via_index_calculus(
     alpha %= p
     beta %= p
     n = multiplicative_order(alpha, Modulus(Factorization(((p, 1),))))
+    # F_p* is cyclic, so its one subgroup of order n is <alpha>.
+    if pow(beta, n, p) != 1:
+        raise ValueError(f"beta={beta} is outside the group generated by alpha={alpha} mod {p}")
     fb = build_factor_base(p, bound)
 
     logs = None
@@ -220,8 +222,6 @@ def dlp_via_index_calculus(
     for _ in range(DEFAULT_SHIFT_TRIALS):
         delta = rng.randrange(n)
         shifted = beta * pow(alpha, delta, p) % p
-        if shifted == 0:
-            continue
         exps, cofactor = try_smooth(shifted, fb)
         if cofactor != 1:
             continue
@@ -298,8 +298,7 @@ def relation_rank_demo(
             proportional = False
     ranks = {}
     for q, _ in factorize(r):
-        rows_mod_q = [[c % q for c in row] for row in gen_logs]
-        ranks[q] = len(_row_reduce(rows_mod_q, len(generators), q, 1))
+        ranks[q] = len(_echelon([[c % q for c in row] for row in gen_logs], len(generators), q, 1))
     return RankDemoReport(
         p, orders, True, "", target_logs, gen_logs, factors, proportional, ranks
     )

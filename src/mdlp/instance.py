@@ -513,40 +513,37 @@ def to_json_dict(inst: Instance) -> dict:
 def from_json_dict(doc: dict) -> Instance:
     """Parse and revalidate an instance document.
 
-    Orders are recomputed, generator independence is checked and beta is
-    re-evaluated against any witness, so a tampered or dependent document
-    fails here rather than downstream.
+    The instance is rebuilt from the factors, generators, beta and any
+    witness: orders are recomputed, generator independence is checked and
+    beta is re-evaluated against the witness. The document must then be,
+    as JSON text, what to_json_dict emits for it, so a tampered, dependent
+    or non-canonical document (a string for an array, beta + N, true for
+    1, an unknown key) fails here rather than downstream.
     """
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported instance document version: {version!r}")
     try:
-        n = int(doc["n"])
+        arrays = [doc.get(key, []) for key in ("factors", "generators", "orders", "witness")]
+        if not all(isinstance(a, list) for a in [*arrays, *arrays[0]]):
+            raise ValueError("factors, each factor, generators, orders and witness must be arrays")
         factors = tuple((int(p), int(a)) for p, a in doc["factors"])
         gens = [int(g) for g in doc["generators"]]
-        listed_orders = tuple(int(r) for r in doc["orders"])
         beta = int(doc["beta"])
         witness = [int(k) for k in doc["witness"]] if "witness" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-    factorization = Factorization(factors)
-    if factorization.n != n:
-        raise ValueError("factors do not multiply back to n")
     inst = make_instance(
-        factorization,
+        Factorization(factors),
         gens,
         witness=witness,
         beta=beta,
         provenance=doc.get("provenance"),
     )
-    if inst.orders != listed_orders:
-        raise ValueError(
-            f"listed orders {listed_orders} disagree with computed {inst.orders}"
-        )
-    if witness is not None and any(
-        not 0 <= k < r for k, r in zip(witness, inst.orders)
-    ):
-        raise ValueError("witness entries out of range for the computed orders")
+    canonical = {k: json.dumps(v) for k, v in to_json_dict(inst).items()}
+    if off := sorted(k for k in {*doc, *canonical} if json.dumps(doc.get(k)) != canonical.get(k)):
+        expected = ", ".join(f"{k}={canonical.get(k)}" for k in off)
+        raise ValueError(f"instance document is not canonical; recomputed {expected}")
     return inst
 
 

@@ -5,7 +5,8 @@ q-Sylow subgroup of each cyclic factor of Z_N* (Z_{p^a}* for odd p, and
 <-1> x <5> for 2^a) and its logarithm there is taken by baby-step
 giant-step, digit by digit (Pohlig-Hellman). The q-part H_q of
 H = <g_1, ..., g_t> is then the span of the log columns, and |H_q| is read
-from their Smith valuations mod q^e. No subgroup element is enumerated.
+from their Smith valuations mod q^e, which arith's one echelon kernel
+returns. No subgroup element is enumerated.
 
 Only a prime q shared by two or more orders is examined: where q divides
 one r_i alone, H_q is that generator's cyclic q-part at its full order.
@@ -19,7 +20,7 @@ import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _prime_power_log, _row_reduce, as_modulus, multiplicative_order
+from .arith import Modulus, _echelon, _prime_power_log, _valuation, as_modulus, multiplicative_order
 from .errors import BudgetExceeded, NotAUnit
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -30,14 +31,6 @@ MAX_SHARED_PRIME = 2**32
 class IndependenceResult(NamedTuple):
     independent: bool
     witness: Optional[tuple[int, int]]  # (generator index, exponent)
-
-
-def _valuation(x: int, q: int) -> int:
-    v = 0
-    while x % q == 0:
-        x //= q
-        v += 1
-    return v
 
 
 def _checked_log(base: int, y: int, m: int, q: int, e: int) -> int:
@@ -96,20 +89,11 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[
 
 def _span_valuation(rows: Sequence[Sequence[int]], q: int, e: int) -> int:
     """log_q of the order of the subgroup of (Z/q^e)^rows spanned by the
-    columns: the sum of e - v over the Smith valuations v < e.
-
-    Unit pivots mod q^e each add e. Every row left unpivoted is then zero
-    in the pivot columns and divisible by q elsewhere, so it is divided by
-    q and the rest is reduced again mod q^(e-1).
+    columns: the sum of e - v over the Smith valuations v < e, which the
+    echelon kernel returns.
     """
     rest = [[x % q**e for x in row] for row in rows]
-    out = 0
-    while e and rest:
-        pivots = _row_reduce(rest, len(rest[0]), q, e)
-        out += e * len(pivots)
-        rest = [[x // q for x in row] for row in rest[len(pivots) :] if any(row)]
-        e -= 1
-    return out
+    return sum(e - v for _, v in _echelon(rest, len(rest[0]) if rest else 0, q, e))
 
 
 def independence_check(generators: Sequence[int], modulus) -> IndependenceResult:

@@ -247,6 +247,12 @@ class TestIndexCalcCommands:
         assert code == 3
         assert "has order 2 mod 107" in doc["error"]
 
+    def test_indexcalc_beta_outside_group_exits_two(self, capsys):
+        code, doc = run_json(capsys, "indexcalc", "--p", "1009", "--alpha", "2",
+                             "--beta", "11", "--bound", "7")
+        assert code == 2
+        assert "beta=11 is outside the group generated by alpha=2" in doc["error"]
+
     def test_indexcalc_composite_p(self, capsys):
         code, _ = run(capsys, "indexcalc", "--p", "105", "--alpha", "2",
                       "--beta", "8")

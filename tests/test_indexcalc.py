@@ -4,11 +4,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdlp import arith, indexcalc
-from mdlp.arith import _row_reduce, factorize, primes_up_to
+from mdlp.arith import _echelon, factorize, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
     _solve_mod_prime_power,
@@ -156,6 +156,15 @@ class TestDlpViaIndexCalculus:
                 with pytest.raises(BudgetExceeded, match=f"has order {order} mod 107"):
                     dlp_via_index_calculus(107, alpha, alpha, bound=7)
 
+    def test_beta_outside_group_fails_before_any_trial(self):
+        # ord(2) = 504 mod 1009, so <2> is the squares, and 11 is not one.
+        def no_trial(x, fb):
+            raise AssertionError("smoothness trial run for a beta outside <alpha>")
+
+        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+            with pytest.raises(ValueError, match="beta=11 is outside the group generated by"):
+                dlp_via_index_calculus(1009, 2, 11, bound=7)
+
     def test_deterministic(self):
         a = dlp_via_index_calculus(10007, 5, 1234, bound=30, seed=4)
         b = dlp_via_index_calculus(10007, 5, 1234, bound=30, seed=4)
@@ -277,6 +286,10 @@ class TestRowReduction:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(systems())
+    # Column 1 has no unit mod 3.
+    @example(([([1, 3], 0), ([2, 6], 1)], 2, 3, 2))
+    # Pivots of valuation 1 and 2 and no unit at e = 3.
+    @example(([([2, 4], 0), ([4, 4], 0), ([6, 0], 0)], 2, 2, 3))
     def test_rank_matches_row_space(self, system):
         rows, ncols, q, e = system
         span = {(0,) * ncols}
@@ -286,21 +299,26 @@ class TestRowReduction:
                 for vec in span
                 for c in range(q)
             }
-        rank = len(_row_reduce([[a % q for a in coeffs] for coeffs, _ in rows], ncols, q, 1))
+        rank = len(_echelon([[a % q for a in coeffs] for coeffs, _ in rows], ncols, q, 1))
         assert q**rank == len(span)
-        # Unit pivots mod q**e are exactly the pivots mod q.
+        # Pivots of valuation 0 mod q**e are exactly the pivots mod q.
         qe = q**e
         aug = [[a % qe for a in coeffs] for coeffs, _ in rows]
-        assert len(_row_reduce(aug, ncols, q, e)) == rank
-        # The span valuation against the row span mod q**e, grown one coset
-        # of the old span per multiple of each row; systems() keeps
+        valuations = [v for _, v in _echelon(aug, ncols, q, e)]
+        assert valuations.count(0) == rank
+        # The valuations are the Smith invariants: mod every q**k the row
+        # span, grown one coset of the old span per multiple of each row,
+        # has q**sum(max(0, k - v)) elements. systems() keeps
         # qe**ncols <= BRUTE_LIMIT.
-        span = {(0,) * ncols}
-        for coeffs, _ in rows:
-            cosets = [span]
-            shift = tuple(a % qe for a in coeffs)
-            while shift not in span:
-                cosets.append({tuple((v + s) % qe for v, s in zip(vec, shift)) for vec in span})
-                shift = tuple((s + a) % qe for s, a in zip(shift, coeffs))
-            span = set().union(*cosets)
+        for k in range(1, e + 1):
+            qk = q**k
+            span = {(0,) * ncols}
+            for coeffs, _ in rows:
+                cosets = [span]
+                shift = tuple(a % qk for a in coeffs)
+                while shift not in span:
+                    cosets.append({tuple((v + s) % qk for v, s in zip(vec, shift)) for vec in span})
+                    shift = tuple((s + a) % qk for s, a in zip(shift, coeffs))
+                span = set().union(*cosets)
+            assert q ** sum(max(0, k - v) for v in valuations) == len(span)
         assert q ** _span_valuation([coeffs for coeffs, _ in rows], q, e) == len(span)

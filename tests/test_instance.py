@@ -464,10 +464,22 @@ class TestSerialization:
         (p1, a1), (p2, a2), *rest = [(int(p), a) for p, a in doc["factors"]]
         merged = sorted([(p1**a1 * p2**a2, 1), *rest])
         orders = [str(int(doc["orders"][0]) + 1), *doc["orders"][1:]]
+        n = int(doc["n"])
         edits = [
             ("beta", str(int(doc["beta"]) + 1), "disagrees with witness product"),
-            ("orders", orders, "disagree with computed"),
+            ("orders", orders, "recomputed orders="),
             ("factors", [[str(p), a] for p, a in merged], "is not prime"),
+            # A string where an array belongs, read one character at a time.
+            *[
+                (key, str(doc[key][0]), "must be arrays")
+                for key in ("factors", "generators", "orders", "witness")
+            ],
+            ("factors", ["".join(map(str, pair)) for pair in doc["factors"]], "must be arrays"),
+            # The same values plus N, which to_json_dict emits reduced.
+            ("beta", str(int(doc["beta"]) + n), "recomputed beta="),
+            ("generators", [str(int(g) + n) for g in doc["generators"]], "recomputed generators="),
+            # Equal to 1 in Python, but not the JSON the emitter writes.
+            ("version", True, "recomputed version=1"),
         ]
         for key, value, reason in edits:
             with pytest.raises(ValueError, match=reason):
