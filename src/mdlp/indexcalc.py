@@ -30,7 +30,7 @@ from .arith import Factorization, Modulus, _echelon, factorize, is_probable_prim
 from .arith import multiplicative_order, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
-from .solvers import DlpTask, solve_dlp
+from .solvers import solve_dlp
 
 DEFAULT_BOUND = 50
 DEFAULT_SLACK = 10
@@ -266,10 +266,16 @@ def relation_rank_demo(
 ) -> RankDemoReport:
     """Build the per-base linear equations for a multi-generator target
     and report their pairwise proportionality and rank.
+
+    Raises ValueError for a composite p, and for a beta or generator
+    outside the subgroup the bases generate. The rank mod q is taken at
+    each prime q of lambda(p) = p - 1 that divides the bases' order.
     """
+    if not is_probable_prime(p):
+        raise ValueError(f"the rank demo works over prime fields; {p} is composite")
     if not alphas:
         raise ValueError("at least one base is required")
-    mod = Modulus.from_int(p)
+    mod = Modulus(Factorization(((p, 1),)))
     orders = tuple(multiplicative_order(a, mod) for a in alphas)
     if len(set(orders)) != 1:
         return RankDemoReport(
@@ -278,16 +284,13 @@ def relation_rank_demo(
             "modulo different numbers and cannot be combined into one system",
         )
     r = orders[0]
-
-    def log_base(a: int, x: int) -> int:
-        got = solve_dlp(DlpTask(a, x, p, r))
-        if got is None:
-            raise ValueError(f"{x} is outside the group generated by {a} mod {p}")
-        return got
-
-    target_logs = tuple(log_base(a, beta) for a in alphas)
-    gen_logs = tuple(tuple(log_base(a, g) for g in generators) for a in alphas)
-    factors = tuple(log_base(alphas[0], a) for a in alphas)
+    # F_p* is cyclic, so every base generates its one subgroup of order r.
+    for x in (beta, *generators):
+        if pow(x, r, p) != 1:
+            raise ValueError(f"{x} is outside the group generated by {alphas[0]} mod {p}")
+    target_logs = tuple(solve_dlp(a, beta, mod).residue for a in alphas)
+    gen_logs = tuple(tuple(solve_dlp(a, g, mod).residue for g in generators) for a in alphas)
+    factors = tuple(solve_dlp(alphas[0], a, mod).residue for a in alphas)
 
     proportional = True
     for j in range(len(alphas)):
@@ -296,9 +299,11 @@ def relation_rank_demo(
         row0 = (target_logs[0],) + gen_logs[0]
         if any((u * cj - c0) % r for cj, c0 in zip(rowj, row0)):
             proportional = False
-    ranks = {}
-    for q, _ in factorize(r):
-        ranks[q] = len(_echelon([[c % q for c in row] for row in gen_logs], len(generators), q, 1))
+    ranks = {
+        q: len(_echelon([[c % q for c in row] for row in gen_logs], len(generators), q, 1))
+        for q in mod.carmichael_factorization.primes
+        if r % q == 0
+    }
     return RankDemoReport(
         p, orders, True, "", target_logs, gen_logs, factors, proportional, ranks
     )

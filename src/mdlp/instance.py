@@ -408,8 +408,13 @@ def generate(
             "t = 1 is never peel-resistant: omitting the only generator leaves "
             "the empty product 1"
         )
+    if max_order_product is not None and max_order_product < 2**t:
+        raise ValueError(
+            f"max_order_product must be at least 2**t = {2**t}, since every order "
+            f"is at least 2; got {max_order_product}"
+        )
     rng = random.Random(seed)
-    bound = max_order_product or 1 << 17
+    bound = 1 << 17 if max_order_product is None else max_order_product
     cap_each = max(3, int(round(bound ** (1.0 / t))) * 2)
     provenance = {
         "seed": seed,

@@ -6,8 +6,10 @@ Five routes to the witness tuple of an instance:
 * meet-in-the-middle over the same box (table on the second half of the
   generators, walk over the first half);
 * single-DLP solving by Pohlig-Hellman decomposition with baby-step
-  giant-step per prime power (the classical stand-in for a quantum
-  period-finder throughout this package);
+  giant-step per prime power of the base's order, read off the already
+  factored lambda(N), with the log returned as its class mod that order
+  (the classical stand-in for a quantum period-finder throughout this
+  package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
   k mod each order, which works exactly when the witness residues are
   pairwise compatible;
@@ -29,7 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .arith import Factorization, Modulus, _prime_power_log, factorize, multiplicative_order
+from .arith import Factorization, Modulus, _prime_power_log, _valuation, as_modulus
+from .arith import multiplicative_order
 from .congruence import Congruence, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
@@ -51,56 +54,44 @@ class Solution:
     work: int
 
 
-@dataclass(frozen=True)
-class DlpTask:
-    """Solve base**x = target (mod modulus) for x in [0, order)."""
-
-    base: int
-    target: int
-    modulus: int
-    order: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        object.__setattr__(self, "base", self.base % self.modulus)
-        object.__setattr__(self, "target", self.target % self.modulus)
-        if pow(self.base, self.order, self.modulus) != 1:
-            raise ValueError(
-                f"{self.base}**{self.order} != 1 mod {self.modulus}: bad order"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Single DLP: baby-step giant-step under Pohlig-Hellman
 
 
-def solve_dlp(task: DlpTask, ops: Optional[list[int]] = None) -> Optional[int]:
-    """x in [0, order) with base**x = target, or None when target is
-    outside <base>. Pohlig-Hellman over the factored order, BSGS per
-    prime power, recombined by CRT. ``ops`` (a one-cell list) accumulates
-    the group-operation count when supplied.
+def solve_dlp(
+    base: int, target: int, modulus, ops: Optional[list[int]] = None
+) -> Optional[Congruence]:
+    """log of target to base mod ``modulus`` (a Modulus, or an int to
+    factor) as its class mod r = ord(base), or None when target is outside
+    <base>.
+
+    Pohlig-Hellman: r's prime powers are read off the primes of
+    lambda(modulus), which are already factored, BSGS runs per prime
+    power, and the digits recombine by CRT. The log is re-checked by
+    powering. ``ops`` (a one-cell list) accumulates the group-operation
+    count when supplied.
     """
     if ops is None:
         ops = [0]
-    if task.order == 1:
-        return 0 if task.target == 1 % task.modulus else None
-    parts = []
-    for q, e in factorize(task.order):
+    mod = as_modulus(modulus)
+    n = mod.n
+    target %= n
+    order = multiplicative_order(base, mod)
+    parts = [Congruence(0, 1)]  # all that order 1 leaves: the log is 0 mod 1
+    for q in mod.carmichael_factorization.primes:
+        e = _valuation(order, q)
+        if not e:
+            continue
         qe = q**e
-        co = task.order // qe
-        b = pow(task.base, co, task.modulus)
-        t = pow(task.target, co, task.modulus)
-        x = _prime_power_log(b, t, task.modulus, q, e, ops)
+        co = order // qe
+        x = _prime_power_log(pow(base, co, n), pow(target, co, n), n, q, e, ops)
         if x is None:
             return None
         parts.append(Congruence(x, qe))
-    x = solve_system(parts).residue
-    if pow(task.base, x, task.modulus) != task.target:
+    log = solve_system(parts)
+    if pow(base, log.residue, n) != target:
         return None
-    return x
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +236,12 @@ def attack_collapse(inst: Instance) -> Optional[Solution]:
     g_all = 1
     for g in inst.generators:
         g_all = g_all * g % n
-    order = multiplicative_order(g_all, inst.modulus)
     ops = [0]
-    k = solve_dlp(DlpTask(g_all, inst.beta, n, order), ops)
+    k = solve_dlp(g_all, inst.beta, inst.modulus, ops)
     if k is None:
         return None
     method = METHOD_SINGLE_DLP if inst.t == 1 else METHOD_COLLAPSE
-    return _checked(inst, split_exponent(k, inst.orders), method, ops[0])
+    return _checked(inst, split_exponent(k.residue, inst.orders), method, ops[0])
 
 
 @dataclass(frozen=True)
@@ -289,14 +279,11 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
         for p in inst.modulus.factorization.primes:
             if any(inst.generators[l] % p != 1 for l in range(inst.t) if l != i):
                 continue
-            h = g % p
-            if h == 1 or p < 3:
+            if g % p == 1:
                 continue
-            local_order = multiplicative_order(h, Modulus(Factorization(((p, 1),))))
-            x = solve_dlp(DlpTask(h, inst.beta % p, p, local_order), ops)
-            if x is None:
-                continue
-            entries.append(Congruence(x, local_order))
+            x = solve_dlp(g, inst.beta, Modulus(Factorization(((p, 1),))), ops)
+            if x is not None:
+                entries.append(x)
         if entries:
             try:
                 congruences[i] = solve_system(entries)

@@ -16,12 +16,11 @@ past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
 
 from __future__ import annotations
 
-import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import Modulus, _echelon, _prime_power_log, _valuation, as_modulus, multiplicative_order
-from .errors import BudgetExceeded, NotAUnit
+from .errors import BudgetExceeded
 
 # Largest prime shared by two orders that is logged: its baby-step table
 # holds at most 2**16 entries.
@@ -109,10 +108,6 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
     mod = as_modulus(modulus)
     n = mod.n
     gens = [g % n for g in generators]
-    for g in gens:
-        d = math.gcd(g, n)
-        if d != 1:
-            raise NotAUnit(g, n, d)
     orders = [multiplicative_order(g, mod) for g in gens]
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.

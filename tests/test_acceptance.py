@@ -23,7 +23,6 @@ from mdlp.instance import (
     verify,
 )
 from mdlp.solvers import (
-    DlpTask,
     attack_collapse,
     solve,
     solve_dlp,
@@ -94,7 +93,7 @@ def test_criterion_04_collapse_attack_end_to_end():
         assert g_all == 2
         order = multiplicative_order(g_all, inst.modulus)
         assert order == 12
-        k = solve_dlp(DlpTask(g_all, inst.beta, 35, order))
+        k = solve_dlp(g_all, inst.beta, 35).residue
         assert k == 7
         assert split_exponent(k, inst.orders) == [3, 1]
         sol = attack_collapse(inst)
@@ -229,7 +228,7 @@ def test_criterion_09_index_calculus_vs_oracle():
             except (BudgetExceeded, RankDeficient):
                 continue
             successes += 1
-            oracle = solve_dlp(DlpTask(alpha, beta, p, p - 1))
+            oracle = solve_dlp(alpha, beta, p).residue
             assert got == oracle, f"disagreement at p={p}"
         assert successes >= 45, f"only {successes}/50 tasks succeeded"
 
@@ -257,7 +256,7 @@ def test_criterion_10_rank_demonstrator():
             rep = relation_rank_demo(p, [alpha, alpha2], gens, beta)
             assert rep.equal_orders
             assert rep.proportional
-            assert rep.factors[1] == solve_dlp(DlpTask(alpha, alpha2, p, p - 1))
+            assert rep.factors[1] == solve_dlp(alpha, alpha2, p).residue
             assert all(rank <= 1 for rank in rep.ranks.values())
 
 

@@ -139,9 +139,9 @@ def test_peel_matches_oracle(inst):
     dlp_work = [0]
     real_solve_dlp = solvers.solve_dlp
 
-    def counted(task, ops):
+    def counted(base, target, modulus, ops):
         before = ops[0]
-        x = real_solve_dlp(task, ops)
+        x = real_solve_dlp(base, target, modulus, ops)
         dlp_work[0] += ops[0] - before
         return x
 

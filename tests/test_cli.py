@@ -68,6 +68,15 @@ class TestGen:
         assert code == doc["exit_status"] == 2
         assert "never collapse-resistant" in doc["error"]
 
+    def test_order_product_below_two_to_the_t_invalid(self, capsys, tmp_path):
+        for bound in ("0", "3", "-5"):
+            code, doc = run_json(capsys, "gen", "--seed", "3", "--bits", "24", "--t", "2",
+                                 "--max-order-product", bound,
+                                 "--out", str(tmp_path / "x.json"))
+            assert code == doc["exit_status"] == 2
+            assert "at least 2**t = 4" in doc["error"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_zero_t_invalid(self, capsys, tmp_path):
         code, _ = run(capsys, "gen", "--seed", "1", "--t", "0",
                       "--out", str(tmp_path / "x.json"))
@@ -271,6 +280,12 @@ class TestIndexCalcCommands:
         assert code == 0
         assert doc["result"]["factors"] == ["1", "5"]
         assert all(r == 1 for r in doc["result"]["ranks"].values())
+
+    def test_rankdemo_composite_p(self, capsys):
+        code, doc = run_json(capsys, "rankdemo", "--p", "35", "--alpha", "2",
+                             "--alpha2", "32", "--g", "4,16", "--beta", "8")
+        assert code == doc["exit_status"] == 2
+        assert "35 is composite" in doc["error"]
 
 
 class TestSurface:

@@ -22,7 +22,7 @@ from mdlp.indexcalc import (
     solve_base_logs,
     try_smooth,
 )
-from mdlp.solvers import DlpTask, solve_dlp
+from mdlp.solvers import solve_dlp
 from mdlp.subgroup import _span_valuation
 
 
@@ -104,7 +104,7 @@ class TestSolveBaseLogs:
         logs = solve_base_logs(mat)
         for q, log in zip(fb, logs):
             assert pow(alpha, log, p) == q
-            assert log == solve_dlp(DlpTask(alpha, q, p, p - 1))
+            assert log == solve_dlp(alpha, q, p).residue
 
     def test_log_of_base_is_one(self):
         p, alpha = 107, 2
@@ -179,7 +179,7 @@ class TestDlpViaIndexCalculus:
             x = rng.randrange(1, p - 1)
             beta = pow(alpha, x, p)
             got = dlp_via_index_calculus(p, alpha, beta, bound=30, seed=i)
-            assert got == solve_dlp(DlpTask(alpha, beta, p, p - 1)) == x
+            assert got == solve_dlp(alpha, beta, p).residue == x
 
 
 class TestRankDemo:
@@ -195,7 +195,7 @@ class TestRankDemo:
         rep = relation_rank_demo(107, [2, 32], [3, 5], 15)
         assert rep.equal_orders
         assert rep.factors == (1, 5)
-        assert rep.factors[1] == solve_dlp(DlpTask(2, 32, 107, 106))
+        assert rep.factors[1] == solve_dlp(2, 32, 107).residue
         assert rep.proportional
 
     def test_rank_one_for_two_generator_instance(self):

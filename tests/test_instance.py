@@ -365,6 +365,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(1, bits=4)
 
+    def test_order_product_below_two_to_the_t(self):
+        # Every order is at least 2, so a bound below 2**t admits nothing:
+        # refused at once, neither swapped for the default nor sampled.
+        for bound in (0, 3, -5):
+            with pytest.raises(ValueError, match=r"at least 2\*\*t = 4.*got " + str(bound)):
+                generate(3, bits=24, t=2, max_order_product=bound)
+        assert generate(3, bits=24, t=2, max_order_product=4).orders == (2, 2)
+
     def test_divisors_against_brute_force(self):
         for r in range(1, 3001):
             primes = factorize(r).primes if r > 1 else ()

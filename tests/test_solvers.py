@@ -11,12 +11,10 @@ import pytest
 
 import mdlp
 from mdlp import arith, solvers
-from mdlp.arith import Modulus, multiplicative_order
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import AllMethodsExhausted, BudgetExceeded
 from mdlp.instance import generate, make_instance, verify
 from mdlp.solvers import (
-    DlpTask,
     attack_collapse,
     attack_peel,
     solve,
@@ -44,28 +42,31 @@ def peelable_instance():
     return make_instance(n, [g1, g2], witness=(7, 5))
 
 
-class TestDlpTask:
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            DlpTask(13, 19, 35, 3)  # 13**3 != 1 mod 35
-
-    def test_normalization(self):
-        t = DlpTask(13 + 35, 19 + 70, 35, 4)
-        assert (t.base, t.target) == (13, 19)
-
-
 class TestSolveDlp:
     def test_hand_example(self):
-        assert solve_dlp(DlpTask(2, 23, 35, 12)) == 7
+        assert solve_dlp(2, 23, 35) == Congruence(7, 12)
 
     def test_base_itself(self):
-        assert solve_dlp(DlpTask(13, 13, 35, 4)) == 1
+        assert solve_dlp(13, 13, 35).residue == 1
 
     def test_not_in_subgroup(self):
-        assert solve_dlp(DlpTask(13, 19, 35, 4)) is None
+        assert solve_dlp(13, 19, 35) is None
 
     def test_identity_target(self):
-        assert solve_dlp(DlpTask(13, 1, 35, 4)) == 0
+        assert solve_dlp(13, 1, 35).residue == 0
+
+    def test_normalization(self):
+        assert solve_dlp(13 + 35, 29 + 70, 35) == solve_dlp(13, 29, 35) == Congruence(2, 4)
+
+    def test_base_one(self):
+        # order 1: the empty system, whose one class is 0 mod 1
+        assert solve_dlp(1, 1, 35) == Congruence(0, 1)
+        assert solve_dlp(1, 13, 35) is None
+
+    def test_base_minus_one(self):
+        assert solve_dlp(34, 34, 35) == Congruence(1, 2)
+        assert solve_dlp(34, 1, 35) == Congruence(0, 2)
+        assert solve_dlp(34, 13, 35) is None
 
     def test_agrees_with_naive_scan(self):
         rng = random.Random(61)
@@ -75,24 +76,48 @@ class TestSolveDlp:
             g = rng.randrange(2, n)
             if math.gcd(g, n) != 1:
                 continue
-            order = multiplicative_order(g, Modulus.from_int(n))
             target = rng.randrange(1, n)
-            got = solve_dlp(DlpTask(g, target, n, order))
+            got = solve_dlp(g, target, n)
             naive = None
+            order = None
             cur = 1
-            for x in range(order):
-                if cur == target % n:
+            for x in range(n):
+                if cur == target % n and naive is None:
                     naive = x
-                    break
                 cur = cur * g % n
-            assert got == naive
+                if cur == 1:
+                    order = x + 1
+                    break
+            if naive is None:
+                assert got is None
+            else:
+                assert got == Congruence(naive, order)
             done += 1
 
     def test_large_smooth_order(self):
         # 3 is a primitive root mod 2**16 + 1
         p = 65537
-        task = DlpTask(3, pow(3, 12345, p), p, p - 1)
-        assert solve_dlp(task) == 12345
+        assert solve_dlp(3, pow(3, 12345, p), p) == Congruence(12345, p - 1)
+
+    def test_order_is_not_factored(self):
+        # With lambda(N) cached on the Modulus, ord(base) is read off its
+        # primes. The profile hook sees factorize under any name it was
+        # imported as.
+        inst = make_instance(35, [13, 19], witness=(3, 1))
+        inst.modulus.carmichael_factorization
+        factored = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is arith.factorize.__code__:
+                factored.append(frame.f_locals["n"])
+
+        sys.setprofile(profile)
+        try:
+            assert solve_dlp(2, 23, inst.modulus) == Congruence(7, 12)
+            assert attack_collapse(inst).exponents == (3, 1)
+        finally:
+            sys.setprofile(None)
+        assert factored == []
 
 
 class TestSolveExhaustive:
@@ -131,7 +156,7 @@ class TestSolveMitm:
     def test_single_generator_degenerates_to_dlp(self):
         inst = make_instance(35, [13], beta=29)
         got = solve_mitm(inst)
-        x = solve_dlp(DlpTask(13, 29, 35, 4))
+        x = solve_dlp(13, 29, 35).residue
         assert got.exponents == (x,)
 
     def test_not_found(self):
@@ -169,7 +194,7 @@ class TestAttackCollapse:
         # the underlying single DLP: product generator is 2, order 12, k = 7
         g_all = 13 * 19 % 35
         assert g_all == 2
-        assert solve_dlp(DlpTask(g_all, 23, 35, 12)) == 7
+        assert solve_dlp(g_all, 23, 35).residue == 7
 
     def test_not_applicable_when_resistant(self):
         inst = make_instance(35, [13, 19], witness=(1, 0))
@@ -181,7 +206,7 @@ class TestAttackCollapse:
     def test_single_generator_is_plain_dlp(self):
         inst = make_instance(35, [13], beta=29)
         sol = attack_collapse(inst)
-        assert sol.exponents == (solve_dlp(DlpTask(13, 29, 35, 4)),)
+        assert sol.exponents == (solve_dlp(13, 29, 35).residue,)
         assert sol.method == "single-dlp"
 
     def test_equivalence_with_collapse_check(self):
