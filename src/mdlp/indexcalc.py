@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _echelon, factorize, is_probable_prime
+from .arith import Factorization, Modulus, _echelon, _valuation, is_probable_prime
 from .arith import multiplicative_order, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
@@ -150,19 +150,27 @@ def _solve_mod_prime_power(
     return [row[ncols] for _, row in sorted(zip(pivots, aug))]
 
 
-def solve_base_logs(mat: RelationMatrix) -> list[int]:
+def solve_base_logs(mat: RelationMatrix, modulus: Optional[Modulus] = None) -> list[int]:
     """log_alpha p_i mod the group order, for every factor-base prime.
 
     Solved separately mod each prime-power factor of the order, CRT
     recombined, and each log re-verified by powering; a RankDeficient
     error means the caller should collect more relations (or the base does
-    not generate all of the factor base).
+    not generate all of the factor base). The order's prime powers are
+    read off the factored lambda(p) of ``modulus``, Z/p as a Modulus, so
+    a caller that keeps one across retries factors nothing here; without
+    it, lambda(p) = p - 1 is factored.
     """
+    mod = modulus if modulus is not None else Modulus(Factorization(((mat.p, 1),)))
+    if mod.n != mat.p or mod.carmichael % mat.order:
+        raise ValueError(f"order {mat.order} mod {mat.p} does not divide lambda({mod.n})")
     m = len(mat.fb)
     rows = [(rel.exponents, rel.k) for rel in mat.rows]
     components = []
-    for q, e in factorize(mat.order):
-        components.append((q**e, _solve_mod_prime_power(rows, m, q, e)))
+    for q in mod.carmichael_factorization.primes:
+        e = _valuation(mat.order, q)
+        if e:
+            components.append((q**e, _solve_mod_prime_power(rows, m, q, e)))
     logs = []
     for i in range(m):
         sol = solve_system([Congruence(x[i], qe) for qe, x in components])
@@ -194,7 +202,8 @@ def dlp_via_index_calculus(
         raise ValueError("alpha and beta must be units mod p")
     alpha %= p
     beta %= p
-    n = multiplicative_order(alpha, Modulus(Factorization(((p, 1),))))
+    field = Modulus(Factorization(((p, 1),)))
+    n = multiplicative_order(alpha, field)
     # F_p* is cyclic, so its one subgroup of order n is <alpha>.
     if pow(beta, n, p) != 1:
         raise ValueError(f"beta={beta} is outside the group generated by alpha={alpha} mod {p}")
@@ -209,7 +218,7 @@ def dlp_via_index_calculus(
             order=n,
         )
         try:
-            logs = solve_base_logs(mat)
+            logs = solve_base_logs(mat, field)
             break
         except RankDeficient:
             continue

@@ -3,8 +3,7 @@
 Five routes to the witness tuple of an instance:
 
 * exhaustive scan of the exponent box in lexicographic order;
-* meet-in-the-middle over the same box (table on the second half of the
-  generators, walk over the first half);
+* meet-in-the-middle over the same box;
 * single-DLP solving by Pohlig-Hellman decomposition with baby-step
   giant-step per prime power of the base's order, read off the already
   factored lambda(N), with the log returned as its class mod that order
@@ -23,13 +22,19 @@ tally group operations (modular multiplications and powerings). The
 exhaustive and peel scans count the tuples a tuple-by-tuple lexicographic
 scan would examine, derived exactly from the hit position; meet-in-the-middle
 counts the sizes of both halves, not the tuples scanned.
+
+The box scans share one kernel: a table holds the products over the
+trailing axes (the last one for exhaustive and peel, the second half for
+meet-in-the-middle), and a walk from beta over the leading axes builds
+only the prefixes of all of them but the last, steps that last axis one
+multiplication per position, and stops at the first hit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import Factorization, Modulus, _prime_power_log, _valuation, as_modulus
 from .arith import multiplicative_order
@@ -114,32 +119,23 @@ def _checked(inst: Instance, exponents: Sequence[int], method: str, work: int) -
     return sol
 
 
-def _power_row(g: int, ks: range, n: int) -> list[int]:
-    """[g**k mod n for k in ks], one multiplication per entry."""
+def _power_row(g: int, ks: range, n: int, acc: int = 1) -> list[int]:
+    """[acc * g**k mod n for k in ks], one multiplication per entry; g is a unit."""
     step = pow(g, ks.step, n)
-    cur = pow(g, ks.start, n)
-    row = []
-    for _ in ks:
-        row.append(cur)
-        cur = cur * step % n
-    return row
+    cur = acc * pow(g, ks.start - ks.step, n) % n  # one step before the row
+    return [cur := cur * step % n for _ in ks]
 
 
-def _prefix_products(rows: Sequence[Sequence[int]], n: int, acc: int = 1) -> Iterator[int]:
-    """acc * rows[0][d_0] * ... * rows[-1][d_-1] mod n for every digit
-    tuple, in lexicographic order; no rows yields acc once.
-
-    The one box odometer: each value is its parent prefix times one row
-    entry. ``_first_hit`` uses it twice, once to build its table over the
-    trailing axes and once to walk the leading axes from beta.
-    """
-    if not rows:
-        yield acc
-        return
-    *head, last = rows
-    for p in _prefix_products(head, n, acc):
-        for x in last:
-            yield p * x % n
+def _box_products(gens: Sequence[int], box: Sequence[range], n: int, acc: int = 1) -> list[int]:
+    """acc * gens[0]**k_0 * ... mod n for every tuple of the box, in
+    lexicographic order, one multiplication each; no axes gives [acc]."""
+    if not box:
+        return [acc]
+    vals = _power_row(gens[0], box[0], n, acc)
+    for g, ks in zip(gens[1:], box[1:]):
+        row = _power_row(g, ks, n)
+        vals = [v * x % n for v in vals for x in row]
+    return vals
 
 
 def _decode(pos: int, box: Sequence[range]) -> tuple[int, ...]:
@@ -155,24 +151,29 @@ def _first_hit(inst: Instance, box: Sequence[range], split: int) -> Optional[int
     """Lexicographic position of the first tuple in the box whose product
     is beta, or None.
 
-    Shanks' split: the products over ``box[split:]`` go in a table that
-    maps each value to its first position, and the axes ``box[:split]``
-    are walked in lexicographic order as prefix products of inverse powers
-    starting from beta, each looked up in the table. The first prefix that
-    hits holds the smallest tuple.
+    Shanks' split: the table holds the trailing part of the box, the
+    products over ``box[split:]``. The walk goes from beta by inverse
+    powers over ``box[:split]`` in lexicographic order: it builds only the
+    prefixes of all those axes but the last, steps the last one
+    multiplication per position, and stops at the first hit.
     """
     n = inst.n
     gens = inst.generators
-    table: dict[int, int] = {}
-    rows = [_power_row(g, ks, n) for g, ks in zip(gens[split:], box[split:])]
-    for j, v in enumerate(_prefix_products(rows, n)):
-        table.setdefault(v, j)  # dependent generators can repeat a value
-    width = math.prod(len(ks) for ks in box[split:])
-    inv_rows = [_power_row(pow(g, -1, n), ks, n) for g, ks in zip(gens, box[:split])]
-    for i, q in enumerate(_prefix_products(inv_rows, n, inst.beta)):
-        j = table.get(q)
-        if j is not None:
-            return i * width + j
+    vals = _box_products(gens[split:], box[split:], n)
+    table = set(vals)  # list.index finds a repeated value's first position
+    if split == 0:
+        return vals.index(inst.beta) if inst.beta in table else None
+    invs = [pow(g, -1, n) for g in gens[:split]]
+    prefixes = _box_products(invs[:-1], box[: split - 1], n, inst.beta)
+    ks = box[split - 1]
+    step = pow(invs[-1], ks.step, n)
+    first = pow(invs[-1], ks.start, n)
+    for i, p in enumerate(prefixes):
+        q = p * first % n
+        for d in range(len(ks)):
+            if q in table:
+                return (i * len(ks) + d) * len(vals) + vals.index(q)
+            q = q * step % n
     return None
 
 

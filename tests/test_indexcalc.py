@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -118,6 +119,12 @@ class TestSolveBaseLogs:
         with pytest.raises(RankDeficient):
             solve_base_logs(RelationMatrix(107, 2, 106, fb, rows))
 
+    def test_modulus_must_be_the_relations_prime(self):
+        mat = collect_relations(107, 2, build_factor_base(107, 7), slack=5, seed=1)
+        for p in (109, 1009):
+            with pytest.raises(ValueError, match="does not divide"):
+                solve_base_logs(mat, arith.Modulus(arith.Factorization(((p, 1),))))
+
 
 class TestDlpViaIndexCalculus:
     def test_constructed_exponent(self):
@@ -144,6 +151,34 @@ class TestDlpViaIndexCalculus:
 
         with mock.patch.object(arith, "factorize", guarded):
             assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
+
+    def test_order_is_not_factored(self):
+        # The order's prime powers are read off lambda(p) = p - 1, which is
+        # factored once however many retry rounds run. The profile hook
+        # sees factorize under any name it was imported as.
+        factored = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is arith.factorize.__code__:
+                factored.append(frame.f_locals["n"])
+
+        real = indexcalc._solve_mod_prime_power
+        calls = []
+
+        def two_failed_rounds(rows, ncols, q, e):
+            calls.append(q)
+            if len(calls) <= 2:
+                raise RankDeficient("forced retry")
+            return real(rows, ncols, q, e)
+
+        sys.setprofile(profile)
+        try:
+            with mock.patch.object(indexcalc, "_solve_mod_prime_power", two_failed_rounds):
+                assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
+        finally:
+            sys.setprofile(None)
+        assert len(calls) > 2
+        assert factored == [106]
 
     def test_order_below_relation_count_fails_before_any_trial(self):
         # ord(106) = 2 and ord(1) = 1 mod 107: fewer distinct relations
