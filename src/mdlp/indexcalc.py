@@ -6,11 +6,20 @@ The classic pipeline over F_p with base alpha of order n:
 
 1. pick a factor base S = all primes <= B;
 2. for random k, keep alpha**k mod p whenever it factors entirely over S,
-   which yields the linear relation k = sum a_i * log_alpha p_i (mod n);
+   which yields the linear relation k = sum a_i * log_alpha p_i (mod n).
+   One trial costs at most ceil(bits(n) / w) - 1 products mod p, read off
+   a fixed-base table of alpha's powers with one row per w-bit window of
+   n (w = _WINDOW = 8), and a few gcds with the product of S that divide
+   out every prime of S; only a value left with cofactor 1 is
+   trial-divided over S for its exponent vector;
 3. collect |S| + slack verified relations and solve for the base logs,
    eliminating per prime-power factor of n and recombining by CRT;
-4. hunt a shift delta with beta * alpha**delta smooth over S;
+4. hunt a shift delta with beta * alpha**delta smooth over S, each trial
+   one more product than a step-2 trial, from the same table and test;
 5. read off log_alpha beta = -delta + sum b_i * log_alpha p_i (mod n).
+
+Every kept relation and the returned log are re-checked with the builtin
+pow, so a wrong table entry can raise but never yield a wrong log.
 
 Applied to a multi-generator target the same machinery produces one
 equation log beta = sum k_i log g_i per choice of base, but switching the
@@ -21,6 +30,7 @@ demonstrator at the bottom makes that executable.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -59,6 +69,55 @@ def try_smooth(x: int, fb: tuple[int, ...]) -> tuple[list[int], int]:
             rest //= q
             exps[i] += 1
     return exps, rest
+
+
+def _rough_part(x: int, fb_product: int) -> int:
+    """x with every prime of the factor base divided out: the cofactor
+    try_smooth returns, found by gcds with the product of the factor base
+    instead of one trial division per prime."""
+    g = math.gcd(x, fb_product)
+    while g > 1:
+        x //= g
+        g = math.gcd(x, g)
+    return x
+
+
+# Bits of the exponent read per row of a fixed-base power table.
+_WINDOW = 8
+_DIGIT = (1 << _WINDOW) - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _power_table(p: int, alpha: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """rows[j][d] = alpha**(d * 2**(_WINDOW * j)) mod p, one row per
+    _WINDOW-bit window of n, so every exponent below n has a digit per row.
+
+    The one table kept is shared by every retry round of collect_relations
+    and by the shift search of dlp_via_index_calculus, which all ask for
+    the same (p, alpha, n).
+    """
+    rows = []
+    base = alpha % p
+    for _ in range(-(-n.bit_length() // _WINDOW)):
+        row = [1]
+        for _ in range(_DIGIT):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
+def _table_power(rows: tuple[tuple[int, ...], ...], k: int, p: int) -> int:
+    """alpha**k mod p for 0 <= k < 2**(_WINDOW * len(rows)): one product mod
+    p per window of k above the lowest."""
+    x = rows[0][k & _DIGIT]
+    j = 1
+    k >>= _WINDOW
+    while k:
+        x = x * rows[j][k & _DIGIT] % p
+        j += 1
+        k >>= _WINDOW
+    return x
 
 
 @dataclass(frozen=True)
@@ -109,12 +168,15 @@ def collect_relations(
             f"relations exist; {want} are needed"
         )
     rng = random.Random(seed)
+    table = _power_table(p, alpha, n)
+    fb_product = math.prod(fb)
     found: set[Relation] = set()
     for _ in range(DEFAULT_RELATION_TRIALS):
         k = rng.randrange(n)
-        exps, cofactor = try_smooth(pow(alpha, k, p), fb)
-        if cofactor != 1:
+        x = _table_power(table, k, p)
+        if _rough_part(x, fb_product) != 1:
             continue
+        exps, _ = try_smooth(x, fb)
         rel = Relation(k, tuple(exps))
         if not relation_holds(p, alpha, fb, rel):
             raise AssertionError(f"relation {rel} does not hold mod {p}")
@@ -228,12 +290,14 @@ def dlp_via_index_calculus(
         )
 
     rng = random.Random(f"shift:{seed}")
+    table = _power_table(p, alpha, n)
+    fb_product = math.prod(fb)
     for _ in range(DEFAULT_SHIFT_TRIALS):
         delta = rng.randrange(n)
-        shifted = beta * pow(alpha, delta, p) % p
-        exps, cofactor = try_smooth(shifted, fb)
-        if cofactor != 1:
+        shifted = beta * _table_power(table, delta, p) % p
+        if _rough_part(shifted, fb_product) != 1:
             continue
+        exps, _ = try_smooth(shifted, fb)
         x = (-delta + sum(b * l for b, l in zip(exps, logs))) % n
         if pow(alpha, x, p) == beta:
             return x

@@ -247,10 +247,10 @@ class TestIndexCalcCommands:
         assert doc["result"] == {"log": "10", "verified": True}
 
     def test_indexcalc_order_too_small_exits_three(self, capsys):
-        def no_trial(x, fb):
+        def no_trial(rows, k, p):
             raise AssertionError("smoothness trial run for an unreachable count")
 
-        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+        with mock.patch.object(indexcalc, "_table_power", no_trial):
             code, doc = run_json(capsys, "indexcalc", "--p", "107", "--alpha", "106",
                                  "--beta", "106", "--bound", "7")
         assert code == 3

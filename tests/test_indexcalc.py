@@ -9,10 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdlp import arith, indexcalc
-from mdlp.arith import _echelon, factorize, primes_up_to
+from mdlp.arith import Modulus, _echelon, factorize, multiplicative_order, primes_up_to
 from mdlp.errors import BudgetExceeded, RankDeficient
 from mdlp.indexcalc import (
+    _WINDOW,
+    _power_table,
+    _rough_part,
     _solve_mod_prime_power,
+    _table_power,
     Relation,
     RelationMatrix,
     build_factor_base,
@@ -69,6 +73,122 @@ class TestTrySmooth:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             try_smooth(0, build_factor_base(997, 10))
+
+
+class TestRoughPart:
+    @pytest.mark.parametrize("p, bound", [(107, 7), (1000003, 200), (1073741827, 100)])
+    def test_cofactor_matches_trial_division(self, p, bound):
+        fb = build_factor_base(p, bound)
+        rng = random.Random(p)
+        values = [1, 2**30, 3**19, 2**30 * 3**19] + [rng.randrange(1, p) for _ in range(500)]
+        for x in values:
+            assert _rough_part(x, math.prod(fb)) == try_smooth(x, fb)[1], x
+
+
+class TestPowerTable:
+    # alpha of order 1 and 2, and orders whose bit length is a multiple of
+    # the window (8, 24) or is not (9, 31).
+    @pytest.mark.parametrize("p, alpha, bits", [
+        (107, 1, 1), (107, 106, 2), (1021, 5, 8), (257, 3, 9), (16777213, 5, 24),
+        (1073741827, 2, 31),
+    ])
+    def test_matches_builtin_pow(self, p, alpha, bits):
+        n = multiplicative_order(alpha, Modulus.from_int(p))
+        assert n.bit_length() == bits
+        rows = _power_table(p, alpha, n)
+        assert len(rows) == -(-bits // _WINDOW)
+        w = _WINDOW
+        rng = random.Random(p)
+        ks = {0, 1, 2**w - 1, 2**w, 2 ** (2 * w), n - 1, *(rng.randrange(n) for _ in range(50))}
+        for k in sorted(ks):
+            if k < 2 ** (w * len(rows)):
+                assert _table_power(rows, k, p) == pow(alpha, k, p), k
+
+
+def forced_retries(failures):
+    """A _solve_mod_prime_power whose first ``failures`` calls raise
+    RankDeficient, so that many collection rounds are retried, and the
+    list of the primes q it was called with."""
+    real = indexcalc._solve_mod_prime_power
+    calls = []
+
+    def solve(rows, ncols, q, e):
+        calls.append(q)
+        if len(calls) <= failures:
+            raise RankDeficient("forced retry")
+        return real(rows, ncols, q, e)
+
+    return solve, calls
+
+
+def reference_relations(p, alpha, fb, slack, seed, n):
+    """collect_relations as a plain loop: builtin pow and trial division of
+    every trial value."""
+    rng = random.Random(seed)
+    want = len(fb) + slack
+    found = set()
+    for _ in range(indexcalc.DEFAULT_RELATION_TRIALS):
+        k = rng.randrange(n)
+        exps, cofactor = try_smooth(pow(alpha, k, p), fb)
+        if cofactor == 1:
+            found.add(Relation(k, tuple(exps)))
+            if len(found) >= want:
+                rows = tuple(sorted(found, key=lambda r: (r.k, r.exponents)))
+                return RelationMatrix(p, alpha, n, fb, rows)
+    raise AssertionError(f"reference found {len(found)}/{want} relations")
+
+
+class TestFastTrialsOracle:
+    # The largest is the attack benchmark's largest index-calculus input.
+    @pytest.mark.parametrize("p, alpha, bound, seeds", [
+        (107, 2, 7, (0, 1, 2)),
+        (1009, 11, 20, (0, 3)),
+        (10007, 5, 30, (0, 4)),
+        (1048583, 5, 50, (0,)),
+        (1000003, 2, 200, (0, 1)),
+        (1073741827, 2, 100, (0,)),
+    ])
+    def test_same_rows_as_reference(self, p, alpha, bound, seeds):
+        fb = build_factor_base(p, bound)
+        n = multiplicative_order(alpha, Modulus.from_int(p))
+        for seed in seeds:
+            got = collect_relations(p, alpha, fb, seed=seed)
+            assert got == reference_relations(p, alpha, fb, indexcalc.DEFAULT_SLACK, seed, n)
+
+    def test_only_smooth_values_are_trial_divided(self):
+        real = indexcalc.try_smooth
+        cofactors = []
+
+        def recording(x, fb):
+            exps, cofactor = real(x, fb)
+            cofactors.append(cofactor)
+            return exps, cofactor
+
+        p = 1048583
+        with mock.patch.object(indexcalc, "try_smooth", recording):
+            x = dlp_via_index_calculus(p, 5, pow(5, p // 3, p), bound=50)
+        assert pow(5, x, p) == pow(5, p // 3, p)
+        assert cofactors and set(cofactors) == {1}
+
+    def test_one_table_for_every_round_and_the_shift(self):
+        solve, calls = forced_retries(2)
+        _power_table.cache_clear()
+        with mock.patch.object(indexcalc, "_solve_mod_prime_power", solve):
+            assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
+        info = _power_table.cache_info()
+        # Three collection rounds and the shift search, one table build.
+        assert len(calls) > 2
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_known_rank_deficient_fault_is_unchanged(self):
+        # Collection stops at |S| + 10 rows, so factor-base primes in no
+        # relation leave the base logs rank-deficient. Mending that changes
+        # which relations are kept; this pins today's outcome.
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^base logs stayed rank-deficient after retries \(p=1000003, B=200\)$",
+        ):
+            dlp_via_index_calculus(1000003, 2, 12345, bound=200)
 
 
 class TestCollectRelations:
@@ -162,18 +282,10 @@ class TestDlpViaIndexCalculus:
             if event == "call" and frame.f_code is arith.factorize.__code__:
                 factored.append(frame.f_locals["n"])
 
-        real = indexcalc._solve_mod_prime_power
-        calls = []
-
-        def two_failed_rounds(rows, ncols, q, e):
-            calls.append(q)
-            if len(calls) <= 2:
-                raise RankDeficient("forced retry")
-            return real(rows, ncols, q, e)
-
+        solve, calls = forced_retries(2)
         sys.setprofile(profile)
         try:
-            with mock.patch.object(indexcalc, "_solve_mod_prime_power", two_failed_rounds):
+            with mock.patch.object(indexcalc, "_solve_mod_prime_power", solve):
                 assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
         finally:
             sys.setprofile(None)
@@ -183,20 +295,20 @@ class TestDlpViaIndexCalculus:
     def test_order_below_relation_count_fails_before_any_trial(self):
         # ord(106) = 2 and ord(1) = 1 mod 107: fewer distinct relations
         # exist than the 4 + 10 the first round needs.
-        def no_trial(x, fb):
+        def no_trial(rows, k, p):
             raise AssertionError("smoothness trial run for an unreachable count")
 
-        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+        with mock.patch.object(indexcalc, "_table_power", no_trial):
             for alpha, order in ((106, 2), (1, 1)):
                 with pytest.raises(BudgetExceeded, match=f"has order {order} mod 107"):
                     dlp_via_index_calculus(107, alpha, alpha, bound=7)
 
     def test_beta_outside_group_fails_before_any_trial(self):
         # ord(2) = 504 mod 1009, so <2> is the squares, and 11 is not one.
-        def no_trial(x, fb):
+        def no_trial(rows, k, p):
             raise AssertionError("smoothness trial run for a beta outside <alpha>")
 
-        with mock.patch.object(indexcalc, "try_smooth", no_trial):
+        with mock.patch.object(indexcalc, "_table_power", no_trial):
             with pytest.raises(ValueError, match="beta=11 is outside the group generated by"):
                 dlp_via_index_calculus(1009, 2, 11, bound=7)
 
