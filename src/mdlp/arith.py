@@ -3,12 +3,13 @@
 Integer factorization (trial division plus Brent's cycle variant of
 Pollard rho), primality testing, a modulus given by its factorization
 alone, from which n and the Carmichael function lambda(n), factored, are
-derived once, multiplicative order computation, the baby-step giant-step
-logarithm in a subgroup of prime-power order that both the solvers and
-the independence check use, and the one echelon kernel mod q**e, with
-least-valuation pivots, that the independence check and index calculus
-share. Apart from that kernel, which works in place, everything here is
-a pure function over immutable values.
+derived once, and multiplicative order computation. Two kernels are
+shared: the box kernel, whose table-and-walk split (Shanks) runs the
+exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
+the baby-step giant-step of every prime-power log; and the echelon kernel
+mod q**e, with least-valuation pivots, of the independence check and
+index calculus. Apart from the echelon kernel, which works in place,
+everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 
@@ -284,43 +285,78 @@ def multiplicative_order(g: int, m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Logarithms in a subgroup of prime-power order
+# The box kernel, and logarithms in a subgroup of prime-power order
 
 
-def _bsgs(base: int, target: int, modulus: int, order: int, ops: list[int]) -> Optional[int]:
-    """Smallest x in [0, order) with base**x = target, or None."""
-    base %= modulus
-    target %= modulus
-    if order == 1 or base == 1:
-        return 0 if target == 1 % modulus else None
-    m = math.isqrt(order - 1) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * base % modulus
-    ops[0] += m
-    stride = pow(cur, -1, modulus)  # cur == base**m at this point
-    cur_t = target
-    for i in range(m):
-        ops[0] += 1
-        j = table.get(cur_t)
-        if j is not None:
-            return (i * m + j) % order
-        cur_t = cur_t * stride % modulus
+def _power_row(g: int, ks: range, n: int, acc: int = 1) -> list[int]:
+    """[acc * g**k mod n for k in ks], one multiplication per entry; g is a unit."""
+    step = pow(g, ks.step, n)
+    cur = acc * pow(g, ks.start - ks.step, n) % n  # one step before the row
+    return [cur := cur * step % n for _ in ks]
+
+
+def _box_products(gens: Sequence[int], box: Sequence[range], n: int, acc: int = 1) -> list[int]:
+    """acc * gens[0]**k_0 * ... mod n for every tuple of the box, in
+    lexicographic order, one multiplication each; no axes gives [acc]."""
+    if not box:
+        return [acc]
+    vals = _power_row(gens[0], box[0], n, acc)
+    for g, ks in zip(gens[1:], box[1:]):
+        row = _power_row(g, ks, n)
+        vals = [v * x % n for v in vals for x in row]
+    return vals
+
+
+def _first_hit(
+    gens: Sequence[int], beta: int, box: Sequence[range], n: int, split: int
+) -> Optional[int]:
+    """Lexicographic position of the first tuple k of the box (one range
+    per unit in ``gens``, last axis fastest) with prod gens[i]**k_i = beta
+    mod n, or None. ``beta`` must already be reduced mod n.
+
+    Shanks' split: the table holds the trailing part of the box, the
+    products over ``box[split:]``. The walk goes from beta by inverse
+    powers over ``box[:split]`` in lexicographic order: it builds only the
+    prefixes of all those axes but the last, steps the last one
+    multiplication per position, and stops at the first hit.
+    """
+    vals = _box_products(gens[split:], box[split:], n)
+    table = set(vals)  # list.index finds a repeated value's first position
+    if split == 0:
+        return vals.index(beta) if beta in table else None
+    invs = [pow(g, -1, n) for g in gens[:split]]
+    prefixes = _box_products(invs[:-1], box[: split - 1], n, beta)
+    ks = box[split - 1]
+    step = pow(invs[-1], ks.step, n)
+    first = pow(invs[-1], ks.start, n)
+    for i, p in enumerate(prefixes):
+        q = p * first % n
+        for d in range(len(ks)):
+            if q in table:
+                return (i * len(ks) + d) * len(vals) + vals.index(q)
+            q = q * step % n
     return None
 
 
 def _prime_power_log(
     base: int, target: int, modulus: int, q: int, e: int, ops: list[int]
 ) -> Optional[int]:
-    """Digit-by-digit log in the subgroup of order q**e."""
-    gamma = pow(base, q ** (e - 1), modulus)  # order q (or 1)
+    """log of target to ``base``, of order q**e, mod ``modulus``, or None.
+
+    Pohlig-Hellman digit by digit. Digit d, the log of h to gamma of order
+    q, is found by baby-step giant-step: the first hit of the box
+    (range(m), range(m)) over (gamma**m, gamma), at position i*m + j = d.
+    ``ops`` gains 2 per digit plus m baby steps and the giant steps walked.
+    """
+    gamma = pow(base, q ** (e - 1), modulus)
+    m = math.isqrt(q - 1) + 1
+    gens = (pow(gamma, m, modulus), gamma)
+    box = (range(m), range(m))
     x = 0
     for j in range(e):
         h = pow(target * pow(base, -x, modulus) % modulus, q ** (e - 1 - j), modulus)
-        ops[0] += 2
-        d = _bsgs(gamma, h, modulus, q, ops)
+        d = _first_hit(gens, h, box, modulus, 1)
+        ops[0] += 2 + m + (m if d is None else d // m + 1)
         if d is None:
             return None
         x += d * q**j

@@ -23,11 +23,11 @@ exhaustive and peel scans count the tuples a tuple-by-tuple lexicographic
 scan would examine, derived exactly from the hit position; meet-in-the-middle
 counts the sizes of both halves, not the tuples scanned.
 
-The box scans share one kernel: a table holds the products over the
-trailing axes (the last one for exhaustive and peel, the second half for
-meet-in-the-middle), and a walk from beta over the leading axes builds
-only the prefixes of all of them but the last, steps that last axis one
-multiplication per position, and stops at the first hit.
+The exhaustive, meet-in-the-middle and peel scans call the box kernel in
+``arith`` (``_first_hit``), which baby-step giant-step also runs on: its
+table holds the products over the trailing axes (the last one for
+exhaustive and peel, the second half for meet-in-the-middle), and its
+walk from beta over the leading axes stops at the first hit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _prime_power_log, _valuation, as_modulus
+from .arith import Factorization, Modulus, _first_hit, _prime_power_log, _valuation, as_modulus
 from .arith import multiplicative_order
 from .congruence import Congruence, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
@@ -119,25 +119,6 @@ def _checked(inst: Instance, exponents: Sequence[int], method: str, work: int) -
     return sol
 
 
-def _power_row(g: int, ks: range, n: int, acc: int = 1) -> list[int]:
-    """[acc * g**k mod n for k in ks], one multiplication per entry; g is a unit."""
-    step = pow(g, ks.step, n)
-    cur = acc * pow(g, ks.start - ks.step, n) % n  # one step before the row
-    return [cur := cur * step % n for _ in ks]
-
-
-def _box_products(gens: Sequence[int], box: Sequence[range], n: int, acc: int = 1) -> list[int]:
-    """acc * gens[0]**k_0 * ... mod n for every tuple of the box, in
-    lexicographic order, one multiplication each; no axes gives [acc]."""
-    if not box:
-        return [acc]
-    vals = _power_row(gens[0], box[0], n, acc)
-    for g, ks in zip(gens[1:], box[1:]):
-        row = _power_row(g, ks, n)
-        vals = [v * x % n for v in vals for x in row]
-    return vals
-
-
 def _decode(pos: int, box: Sequence[range]) -> tuple[int, ...]:
     """The exponent tuple at lexicographic position ``pos`` of the box."""
     out = [0] * len(box)
@@ -145,36 +126,6 @@ def _decode(pos: int, box: Sequence[range]) -> tuple[int, ...]:
         pos, d = divmod(pos, len(box[i]))
         out[i] = box[i][d]
     return tuple(out)
-
-
-def _first_hit(inst: Instance, box: Sequence[range], split: int) -> Optional[int]:
-    """Lexicographic position of the first tuple in the box whose product
-    is beta, or None.
-
-    Shanks' split: the table holds the trailing part of the box, the
-    products over ``box[split:]``. The walk goes from beta by inverse
-    powers over ``box[:split]`` in lexicographic order: it builds only the
-    prefixes of all those axes but the last, steps the last one
-    multiplication per position, and stops at the first hit.
-    """
-    n = inst.n
-    gens = inst.generators
-    vals = _box_products(gens[split:], box[split:], n)
-    table = set(vals)  # list.index finds a repeated value's first position
-    if split == 0:
-        return vals.index(inst.beta) if inst.beta in table else None
-    invs = [pow(g, -1, n) for g in gens[:split]]
-    prefixes = _box_products(invs[:-1], box[: split - 1], n, inst.beta)
-    ks = box[split - 1]
-    step = pow(invs[-1], ks.step, n)
-    first = pow(invs[-1], ks.start, n)
-    for i, p in enumerate(prefixes):
-        q = p * first % n
-        for d in range(len(ks)):
-            if q in table:
-                return (i * len(ks) + d) * len(vals) + vals.index(q)
-            q = q * step % n
-    return None
 
 
 def solve_exhaustive(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[Solution]:
@@ -189,7 +140,7 @@ def solve_exhaustive(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     if total > budget:
         raise BudgetExceeded(f"exhaustive box of {total} tuples exceeds budget {budget}")
     box = [range(r) for r in inst.orders]
-    hit = _first_hit(inst, box, inst.t - 1)
+    hit = _first_hit(inst.generators, inst.beta, box, inst.n, inst.t - 1)
     if hit is None:
         return None
     return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, hit + 1)
@@ -215,7 +166,7 @@ def solve_mitm(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Option
             f"mitm scan of {left_total + right_total} candidates exceeds budget {budget}"
         )
     box = [range(r) for r in inst.orders]
-    hit = _first_hit(inst, box, h)
+    hit = _first_hit(inst.generators, inst.beta, box, inst.n, h)
     if hit is None:
         return None
     return _checked(inst, _decode(hit, box), METHOD_MITM, left_total + right_total)
@@ -300,7 +251,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
         return PeelResult("partial", congruences, None, ops[0])
 
     # Work counts the candidate tuples a lexicographic walk would examine.
-    hit = _first_hit(inst, box, inst.t - 1)
+    hit = _first_hit(inst.generators, inst.beta, box, inst.n, inst.t - 1)
     if hit is None:
         return PeelResult("not-found", congruences, None, ops[0] + remaining)
     work = ops[0] + hit + 1

@@ -99,6 +99,26 @@ class TestSolveDlp:
         p = 65537
         assert solve_dlp(3, pow(3, 12345, p), p) == Congruence(12345, p - 1)
 
+    def test_work_counts_are_pinned(self):
+        # Exact group-operation counts: per digit, 2 to strip and shift,
+        # plus m baby steps and the giant steps up to the hit (m on a miss),
+        # m = isqrt(q - 1) + 1.
+        cases = [
+            (2, 23, 35, Congruence(7, 12), 15),
+            (13, 19, 35, None, 6),
+            (1, 13, 35, None, 0),
+            (3, pow(3, 12345, 65537), 65537, Congruence(12345, 65536), 80),
+            # 3**5 divides 486: five digits of one prime power
+            (3, pow(3, 400, 487), 487, Congruence(400, 486), 32),
+            (5, pow(5, 777777, 1048583), 1048583, Congruence(777777, 1048582), 57),
+        ]
+        for base, target, modulus, log, work in cases:
+            ops = [0]
+            assert solve_dlp(base, target, modulus, ops) == log
+            assert ops[0] == work, (base, target, modulus)
+        assert attack_collapse(make_instance(35, [13, 19], witness=(3, 1))).work == 15
+        assert attack_collapse(peelable_instance()).work == 22
+
     def test_order_is_not_factored(self):
         # With lambda(N) cached on the Modulus, ord(base) is read off its
         # primes. The profile hook sees factorize under any name it was
@@ -338,7 +358,9 @@ def test_verification_survives_optimize_flag():
     # Under python -O every assert statement vanishes; the post-condition
     # on each returned Solution must not. With verify patched to reject
     # everything, every solver path has to raise AssertionError. The same
-    # holds for the independence check's re-check of each Sylow log.
+    # holds for the independence check's re-check of each Sylow log, and a
+    # wrong position from the box kernel that every log runs on must end at
+    # a log's own re-check by powering.
     code = """
 import sys
 import mdlp.solvers as s
@@ -365,8 +387,25 @@ for call in calls:
         continue
     raise SystemExit("a solver returned an unverified solution")
 
-# The independence check's witness, and its re-check of every Sylow log.
+# A wrong position from the shared box kernel: every log it gives is
+# re-checked by powering, so it ends as None or AssertionError.
+import mdlp.arith as a
 import mdlp.subgroup as sg
+kernel = a._first_hit
+a._first_hit = s._first_hit = lambda gens, beta, box, n, split: 0
+if s.solve_dlp(2, 23, 35) is not None:
+    raise SystemExit("solve_dlp returned an unchecked log")
+if s.attack_collapse(inst) is not None:
+    raise SystemExit("collapse split an unchecked log")
+try:
+    sg.independence_check([13, 29], 35)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("the independence check used an unchecked log")
+a._first_hit = s._first_hit = kernel
+
+# The independence check's witness, and its re-check of every Sylow log.
 if sg.independence_check([13, 29], 35) != (False, (0, 2)):
     raise SystemExit("wrong independence witness")
 sg._prime_power_log = lambda base, y, m, q, e, ops: 0
