@@ -2,8 +2,9 @@
 
 Integer factorization (trial division plus Brent's cycle variant of
 Pollard rho), primality testing, a modulus given by its factorization
-alone, from which n and the Carmichael function lambda(n), factored, are
-derived once, and multiplicative order computation. Two kernels are
+alone, from which n and the Carmichael function of each prime-power
+component, factored, are derived once, and multiplicative order
+computation in those components. Two kernels are
 shared: the box kernel, whose table-and-walk split (Shanks) runs the
 exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
 the baby-step giant-step of every prime-power log; and the echelon kernel
@@ -26,6 +27,10 @@ from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 # primality; above it the test is probabilistic.
 _DETERMINISTIC_BOUND = 1 << 64
 _WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# The least strong pseudoprime to the bases 2, 3, 5 and 7 (151 * 751 * 28351;
+# Pomerance, Selfridge and Wagstaff 1980): below it those four bases suffice.
+_SMALL_BOUND = 3_215_031_751
+_WITNESSES_SMALL = (2, 3, 5, 7)
 _RANDOM_ROUNDS = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,8 +42,9 @@ DEFAULT_RHO_BUDGET = 2_000_000
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic below 2**64; above that, _RANDOM_ROUNDS random bases
-    seeded by n itself, so repeated calls agree.
+    Deterministic below 2**64, with four bases below _SMALL_BOUND and
+    seven from there on; above that, _RANDOM_ROUNDS random bases seeded by
+    n itself, so repeated calls agree.
     """
     if n < 2:
         return False
@@ -64,7 +70,9 @@ def is_probable_prime(n: int) -> bool:
                 return False
         return True
 
-    if n < _DETERMINISTIC_BOUND:
+    if n < _SMALL_BOUND:
+        bases = _WITNESSES_SMALL
+    elif n < _DETERMINISTIC_BOUND:
         bases = _WITNESSES_64
     else:
         rng = random.Random(n)
@@ -85,7 +93,7 @@ class Factorization:
         if any(a < 1 for _, a in self.factors):
             raise ValueError("exponents must be positive")
 
-    @property
+    @cached_property
     def n(self) -> int:
         out = 1
         for p, a in self.factors:
@@ -144,8 +152,9 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime-power factorization, ascending primes.
 
-    Trial division up to DEFAULT_TRIAL_BOUND first, then deterministic-seed
-    Brent-rho on whatever survives. Raises BudgetExceeded when the rho
+    Trial division up to DEFAULT_TRIAL_BOUND first, stopping early once
+    what is left is a probable prime, then deterministic-seed Brent-rho on
+    whatever survives. Raises BudgetExceeded when the rho
     budget DEFAULT_RHO_BUDGET runs out, so a caller holding a known
     factorization can supply it instead.
     """
@@ -157,16 +166,23 @@ def factorize(n: int) -> Factorization:
         while rest % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rest //= p
-    # Wheel over 6k +- 1.
+    # Wheel over 6k +- 1, retesting the cofactor whenever it shrinks.
     f = 7
     skip = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
-    while f * f <= rest and f <= DEFAULT_TRIAL_BOUND:
-        while rest % f == 0:
-            counts[f] = counts.get(f, 0) + 1
-            rest //= f
+    rest_prime = is_probable_prime(rest)
+    while not rest_prime and f * f <= rest and f <= DEFAULT_TRIAL_BOUND:
+        if rest % f == 0:
+            while rest % f == 0:
+                counts[f] = counts.get(f, 0) + 1
+                rest //= f
+            rest_prime = is_probable_prime(rest)
         f += skip[idx]
         idx = (idx + 1) % len(skip)
+    if rest_prime:
+        # Every smaller prime is divided out, so this one is new.
+        counts[rest] = 1
+        rest = 1
 
     budget = [DEFAULT_RHO_BUDGET]
     stack = [rest] if rest > 1 else []
@@ -206,7 +222,8 @@ def primes_up_to(bound: int) -> list[int]:
 class Modulus:
     """A modulus n >= 2, given by its factorization alone.
 
-    n and lambda(n) are derived from it on first use and cached.
+    n, the factored lambda(p**a) of each component and lambda(n) are
+    derived from it on first use and cached.
     """
 
     factorization: Factorization
@@ -232,22 +249,31 @@ class Modulus:
         return self.factorization.n
 
     @cached_property
-    def carmichael_factorization(self) -> Factorization:
-        """lambda(n), the exponent of the unit group, factored once per modulus.
+    def components(self) -> tuple[tuple[int, Factorization], ...]:
+        """(p**a, lambda(p**a) factored) for each p**a exactly dividing n.
 
-        lambda(n) is the lcm over p**a || n of p**(a-1) * (p - 1) for odd p,
-        and of 1, 2 or 2**(a-2) for 2**a with a = 1, 2 or a >= 3. Only each
-        p - 1 is factored, and it is far smaller than lambda(n) itself.
+        lambda(p**a) is p**(a-1) * (p - 1) for odd p, and 1, 2 or 2**(a-2)
+        for 2**a with a = 1, 2 or a >= 3. Only each p - 1 is factored, once
+        per modulus, and it is far smaller than lambda(n).
         """
-        exps: dict[int, int] = {}
+        out = []
         for p, a in self.factorization:
             if p == 2:
                 parts = [(2, 0 if a == 1 else 1 if a == 2 else a - 2)]
             else:
-                parts = [(p, a - 1), *factorize(p - 1)]
-            for q, b in parts:
+                parts = [*factorize(p - 1), (p, a - 1)]  # every prime of p - 1 is below p
+            out.append((p**a, Factorization(tuple((q, b) for q, b in parts if b))))
+        return tuple(out)
+
+    @cached_property
+    def carmichael_factorization(self) -> Factorization:
+        """lambda(n), the exponent of the unit group, factored: the lcm of
+        the components' lambda(p**a), the largest exponent of each prime."""
+        exps: dict[int, int] = {}
+        for _, lam in self.components:
+            for q, b in lam:
                 exps[q] = max(exps.get(q, 0), b)
-        return Factorization(tuple(sorted((q, b) for q, b in exps.items() if b)))
+        return Factorization(tuple(sorted(exps.items())))
 
     @cached_property
     def carmichael(self) -> int:
@@ -262,11 +288,13 @@ def as_modulus(m) -> Modulus:
 def multiplicative_order(g: int, m) -> int:
     """Smallest r >= 1 with g**r == 1 mod m.
 
-    Always recomputed, never taken on faith from a caller, by prime-power
-    descent (Cohen, GTM 138, Alg. 1.4.3): for each prime p of lambda(n)
-    with p**a exactly dividing it, h = g**(lambda / p**a) has order p**b,
-    the p-part of r, and b is the number of p-th powers that take h to 1.
-    That is one full-size exponentiation per prime of lambda(n).
+    Always recomputed, never taken on faith from a caller, in each
+    component p**a of n (CRT): for each prime q of lambda(p**a), with q**e
+    exactly dividing it, h = g**(lambda(p**a) / q**e) mod p**a has order
+    q**b, and b is the number of q-th powers that take h to 1 (prime-power
+    descent, Cohen, GTM 138, Alg. 1.4.3). r is the lcm over the
+    components: each q to its largest b. Every exponentiation is mod a
+    prime power of n, not mod n.
     """
     mod = as_modulus(m)
     n = mod.n
@@ -274,14 +302,18 @@ def multiplicative_order(g: int, m) -> int:
     gcd = math.gcd(g, n)
     if gcd != 1:
         raise NotAUnit(g, n, gcd)
-    lam = mod.carmichael
-    r = 1
-    for p, a in mod.carmichael_factorization:
-        h = pow(g, lam // p**a, n)
-        while h != 1:
-            h = pow(h, p, n)
-            r *= p
-    return r
+    exps: dict[int, int] = {}
+    for pa, lam in mod.components:
+        gc = g % pa
+        for q, e in lam:
+            h = pow(gc, lam.n // q**e, pa)
+            b = 0
+            while h != 1:
+                h = pow(h, q, pa)
+                b += 1
+            if b > exps.get(q, 0):
+                exps[q] = b
+    return math.prod(q**b for q, b in exps.items())
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,7 @@ def make_instance(
     too large to log (see subgroup.MAX_SHARED_PRIME).
     ``check_independence=False`` is for callers that build independent
     generators by construction, such as CRT-built instances, and for
-    generate's draft, which runs the check itself once the cheaper
-    hardness constraints have passed.
+    generate, which has already run the check on the draft it accepts.
     """
     if isinstance(modulus_or_n, Factorization):
         modulus = Modulus.from_factorization(modulus_or_n)
@@ -469,12 +468,11 @@ def generate(
         if math.prod(orders) > bound:
             rejections["order_product"] += 1
             continue
-        draft = make_instance(
-            modulus,
-            gens,
-            witness=[rng.randrange(r) for r in orders],
-            check_independence=False,
-            provenance=provenance,
+        # Each u**(r/d) has order exactly d, so the draft takes the drawn
+        # orders; make_instance recomputes them for the accepted one only.
+        witness = tuple(rng.randrange(r) for r in orders)
+        draft = Instance(
+            modulus, tuple(gens), tuple(orders), _eval_product(gens, witness, n), witness
         )
         if (
             require_collapse_resistant is not None
@@ -491,7 +489,18 @@ def generate(
         if not subgroup.independence_check(draft.generators, modulus).independent:
             rejections["independence"] += 1
             continue
-        return replace(draft, independence_verified=True)
+        inst = make_instance(
+            modulus,
+            draft.generators,
+            witness=draft.witness,
+            check_independence=False,
+            provenance=provenance,
+        )
+        if inst.orders != draft.orders:
+            raise AssertionError(
+                f"drawn orders {draft.orders} differ from the recomputed {inst.orders}"
+            )
+        return replace(inst, independence_verified=True)
     raise GenerationFailed(rejections, f"bits={bits} t={t}")
 
 

@@ -31,6 +31,34 @@ ORDER_MODULI = st.one_of(
 )
 
 
+def brute_factors(n):
+    """Prime-power factors of n >= 2 by trial division by every d <= sqrt(n)."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round: True when base a does not prove odd n composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def brute_order(g, n):
     """Smallest r >= 1 with g**r == 1 mod n, by repeated multiplication."""
     r, x = 1, g % n
@@ -68,6 +96,21 @@ class TestFactorize:
         assert f.factors == ((p, 1), (q, 1))
         assert f.certified
 
+    def test_matches_brute_force(self):
+        cases = [
+            2**3 * 3 * (2**31 - 1),  # a large prime cofactor after small ones
+            6 * 4294967311,  # a prime cofactor above 2**32
+            2**31 - 1,
+            65537**2,  # p**2 with p > 2**16
+            7 * 65537**2,
+            65537 * 65539,  # two primes above 2**16: the rho path
+            5**3 * 65537 * 65539,
+        ]
+        rng = random.Random(29)
+        cases += [rng.randrange(2, 1 << 32) for _ in range(30)]
+        for n in cases:
+            assert factorize(n).factors == brute_factors(n), n
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             factorize(1)
@@ -87,9 +130,24 @@ class TestFactorize:
 
 class TestPrimality:
     def test_against_sieve(self):
-        sieve = set(primes_up_to(2000))
-        for n in range(2000):
-            assert is_probable_prime(n) == (n in sieve)
+        sieve = bytearray(10**6)
+        for p in primes_up_to(10**6 - 1):
+            sieve[p] = 1
+        assert [n for n in range(10**6) if is_probable_prime(n) != sieve[n]] == []
+
+    def test_four_base_bound(self):
+        # Below arith._SMALL_BOUND the bases 2, 3, 5 and 7 decide; the bound
+        # itself is a strong pseudoprime to all four, so from there on the
+        # seven-base set has to.
+        bound = arith._SMALL_BOUND
+        assert bound == 151 * 751 * 28351
+        assert all(strong_probable_prime(bound, a) for a in (2, 3, 5, 7))
+        assert not is_probable_prime(bound)
+        below, above = 3_215_031_749, 3_215_031_767
+        assert brute_factors(below) == ((below, 1),)
+        assert brute_factors(above) == ((above, 1),)
+        assert is_probable_prime(below) and is_probable_prime(above)
+        assert not any(is_probable_prime(n) for n in range(below + 1, above))
 
     def test_primes_up_to(self):
         assert primes_up_to(1) == []
@@ -175,6 +233,19 @@ class TestMultiplicativeOrder:
         units = [u for u in range(1, n) if math.gcd(u, n) == 1]
         for u in {1, n - 1, units[pick % len(units)]}:
             assert multiplicative_order(u, m) == brute_order(u, n)
+
+    @pytest.mark.parametrize(
+        "n", [2, 4, 8, 2**5 * 3, 3**4, 5**2 * 7, 3 * 5 * 7 * 11, 2**3 * 3**2 * 5]
+    )
+    def test_every_unit_matches_brute_force(self, n):
+        m = Modulus.from_int(n)
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        orders = [multiplicative_order(u, m) for u in units]
+        assert orders == [brute_order(u, n) for u in units]
+        # lambda(n) is the exponent of Z_n^*: the lcm of all unit orders.
+        assert m.carmichael == math.lcm(*orders)
+        with pytest.raises(NotAUnit):
+            multiplicative_order(m.factorization.primes[-1], m)
 
 
 class TestModulus:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -383,6 +384,39 @@ class TestGenerate:
         assert _divisors(12, (2, 3, 5, 7)) == [1, 2, 3, 4, 6, 12]
         with pytest.raises(ValueError):
             _divisors(12, (2,))
+
+    def test_only_the_accepted_draft_is_rebuilt(self):
+        # Rejected drafts keep the orders the draw gave them; make_instance,
+        # which recomputes every order, runs once, on the accepted draft.
+        order = mock.Mock(wraps=instance.multiplicative_order)
+        real_make = instance.make_instance
+        orders_per_make = []
+
+        def make(*args, **kwargs):
+            before = order.call_count
+            built = real_make(*args, **kwargs)
+            orders_per_make.append(order.call_count - before)
+            return built
+
+        shape = dict(seed=3, bits=24, t=4, max_order_product=1 << 16)
+        with mock.patch.object(instance, "multiplicative_order", order), \
+                mock.patch.object(instance, "make_instance", side_effect=make) as made:
+            inst = generate(**shape)
+        assert made.call_count == 1
+        assert orders_per_make == [shape["t"]]
+        assert inst.independence_verified
+        assert dumps(inst) == dumps(generate(**shape))
+
+    def test_drawn_orders_are_checked_against_recomputed_ones(self):
+        real_make = instance.make_instance
+
+        def off_by_one(*args, **kwargs):
+            built = real_make(*args, **kwargs)
+            return replace(built, orders=(built.orders[0] + 1, *built.orders[1:]))
+
+        with mock.patch.object(instance, "make_instance", side_effect=off_by_one), \
+                pytest.raises(AssertionError, match="differ from the recomputed"):
+            generate(3, bits=24, t=2)
 
     # sha256 over dumps(generate(**shape)) for each shape in turn. Any change
     # to the rejection sampling (which draws it consumes, which candidates it
