@@ -3,8 +3,8 @@
 Integer factorization (trial division plus Brent's cycle variant of
 Pollard rho), primality testing, a modulus given by its factorization
 alone, from which n and the Carmichael function of each prime-power
-component, factored, are derived once, and multiplicative order
-computation in those components. Two kernels are
+component, factored, are derived once, and multiplicative orders,
+computed factored in those components. Two kernels are
 shared: the box kernel, whose table-and-walk split (Shanks) runs the
 exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
 the baby-step giant-step of every prime-power log; and the echelon kernel
@@ -285,16 +285,17 @@ def as_modulus(m) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus.from_int(m)
 
 
-def multiplicative_order(g: int, m) -> int:
-    """Smallest r >= 1 with g**r == 1 mod m.
+def order_factors(g: int, m) -> tuple[tuple[int, int], ...]:
+    """The order of g mod m, factored: (q, b) with q ascending and b >= 1,
+    so order 1 gives ().
 
-    Always recomputed, never taken on faith from a caller, in each
-    component p**a of n (CRT): for each prime q of lambda(p**a), with q**e
-    exactly dividing it, h = g**(lambda(p**a) / q**e) mod p**a has order
-    q**b, and b is the number of q-th powers that take h to 1 (prime-power
-    descent, Cohen, GTM 138, Alg. 1.4.3). r is the lcm over the
-    components: each q to its largest b. Every exponentiation is mod a
-    prime power of n, not mod n.
+    The smallest r >= 1 with g**r == 1 mod m is always recomputed, never
+    taken on faith from a caller, in each component p**a of n (CRT): for
+    each prime q of lambda(p**a), with q**e exactly dividing it,
+    h = g**(lambda(p**a) / q**e) mod p**a has order q**b, and b is the
+    number of q-th powers that take h to 1 (prime-power descent, Cohen,
+    GTM 138, Alg. 1.4.3). r is the lcm over the components: each q to its
+    largest b. Every exponentiation is mod a prime power of n, not mod n.
     """
     mod = as_modulus(m)
     n = mod.n
@@ -313,7 +314,12 @@ def multiplicative_order(g: int, m) -> int:
                 b += 1
             if b > exps.get(q, 0):
                 exps[q] = b
-    return math.prod(q**b for q, b in exps.items())
+    return tuple(sorted(exps.items()))
+
+
+def multiplicative_order(g: int, m) -> int:
+    """Smallest r >= 1 with g**r == 1 mod m: the product of order_factors."""
+    return math.prod(q**b for q, b in order_factors(g, m))
 
 
 # ---------------------------------------------------------------------------

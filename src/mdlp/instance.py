@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from . import subgroup
 from .arith import Factorization, Modulus, as_modulus, is_probable_prime, multiplicative_order
+from .arith import order_factors
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, GenerationFailed, IndependenceViolation
 
@@ -297,7 +298,7 @@ def _random_odd_prime(rng: random.Random, lo: int, hi: int) -> Optional[int]:
 def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modulus]:
     """A composite with ``bits`` bits and ``parts`` distinct odd primes."""
     lo, hi = 1 << (bits - 1), (1 << bits) - 1
-    chosen: list[int] = []
+    chosen: dict[int, int] = {}  # each prime's exponent in prod
     remaining = parts
     prod = 1
     # Occasionally square the first prime for a prime-power factor.
@@ -310,53 +311,38 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
         p = _random_odd_prime(rng, 1 << (width - 1), (1 << width) - 1)
         if p is None or p in chosen:
             return None
-        mult = p * p if square_first and not chosen and p * p < hi // 8 else p
-        chosen.append(p)
-        prod *= mult
+        chosen[p] = 2 if square_first and not chosen and p * p < hi // 8 else 1
+        prod *= p ** chosen[p]
         remaining -= 1
     last = _random_odd_prime(rng, (lo + prod - 1) // prod, hi // prod)
     if last is None or last in chosen:
         return None
-    chosen.append(last)
+    chosen[last] = 1
     prod *= last
     if not lo <= prod <= hi:
         return None
-    counts: dict[int, int] = {}
-    rest = prod
-    for p in chosen:
-        while rest % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rest //= p
     # Every prime in chosen came from _random_odd_prime, which has already
     # tested it, so Modulus.from_factorization's own test is skipped.
-    return Modulus(Factorization(tuple(sorted(counts.items()))))
+    return Modulus(Factorization(tuple(sorted(chosen.items()))))
 
 
-def _divisors(n: int, primes: Sequence[int], cap: Optional[int] = None) -> list[int]:
-    """The divisors of n up to ``cap`` >= 1 (all of them by default), ascending.
+def _divisors(factors: Sequence[tuple[int, int]], cap: int) -> list[int]:
+    """The divisors up to ``cap`` >= 1, ascending, of the number whose
+    (prime, exponent) pairs are ``factors``.
 
-    ``primes`` must hold every prime of n. A divisor above the cap is not
-    extended by further prime powers, so the work follows the divisors
-    kept rather than all of them.
+    A divisor above the cap is not extended by further prime powers, so
+    the work follows the divisors kept rather than all of them.
     """
-    limit = n if cap is None else cap
     out = [1]
-    for p in primes:
-        a = 0
-        while n % p == 0:
-            n //= p
-            a += 1
-        if a:
-            grown = []
-            for d in out:
-                for _ in range(a + 1):
-                    if d > limit:
-                        break
-                    grown.append(d)
-                    d *= p
-            out = grown
-    if n != 1:
-        raise ValueError(f"primes {tuple(primes)} leave the factor {n}")
+    for p, a in factors:
+        grown = []
+        for d in out:
+            for _ in range(a + 1):
+                if d > cap:
+                    break
+                grown.append(d)
+                d *= p
+        out = grown
     return sorted(out)
 
 
@@ -446,9 +432,10 @@ def generate(
                 u = rng.randrange(2, n - 1)
                 if math.gcd(u, n) != 1:
                     continue
-                r = multiplicative_order(u, modulus)
+                factors = order_factors(u, modulus)
+                r = math.prod(q**b for q, b in factors)
                 # the divisors in [2, cap_each]: all but the leading 1
-                opts = _divisors(r, modulus.carmichael_factorization.primes, cap_each)[1:]
+                opts = _divisors(factors, cap_each)[1:]
                 if not opts:
                     continue
                 # two draws, keep the larger: biases toward roomier boxes

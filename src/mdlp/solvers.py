@@ -5,8 +5,8 @@ Five routes to the witness tuple of an instance:
 * exhaustive scan of the exponent box in lexicographic order;
 * meet-in-the-middle over the same box;
 * single-DLP solving by Pohlig-Hellman decomposition with baby-step
-  giant-step per prime power of the base's order, read off the already
-  factored lambda(N), with the log returned as its class mod that order
+  giant-step per prime power of the base's order, which order_factors
+  returns factored, with the log returned as its class mod that order
   (the classical stand-in for a quantum period-finder throughout this
   package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _first_hit, _prime_power_log, _valuation, as_modulus
-from .arith import multiplicative_order
+from .arith import Factorization, Modulus, _first_hit, _prime_power_log, as_modulus, order_factors
 from .congruence import Congruence, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
@@ -70,23 +69,20 @@ def solve_dlp(
     factor) as its class mod r = ord(base), or None when target is outside
     <base>.
 
-    Pohlig-Hellman: r's prime powers are read off the primes of
-    lambda(modulus), which are already factored, BSGS runs per prime
-    power, and the digits recombine by CRT. The log is re-checked by
-    powering. ``ops`` (a one-cell list) accumulates the group-operation
-    count when supplied.
+    Pohlig-Hellman: r's prime powers come factored from order_factors,
+    BSGS runs per prime power, and the digits recombine by CRT. The log
+    is re-checked by powering. ``ops`` (a one-cell list) accumulates the
+    group-operation count when supplied.
     """
     if ops is None:
         ops = [0]
     mod = as_modulus(modulus)
     n = mod.n
     target %= n
-    order = multiplicative_order(base, mod)
+    factors = order_factors(base, mod)
+    order = math.prod(q**e for q, e in factors)
     parts = [Congruence(0, 1)]  # all that order 1 leaves: the log is 0 mod 1
-    for q in mod.carmichael_factorization.primes:
-        e = _valuation(order, q)
-        if not e:
-            continue
+    for q, e in factors:
         qe = q**e
         co = order // qe
         x = _prime_power_log(pow(base, co, n), pow(target, co, n), n, q, e, ops)

@@ -16,10 +16,11 @@ past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _echelon, _prime_power_log, _valuation, as_modulus, multiplicative_order
+from .arith import Modulus, _echelon, _prime_power_log, _valuation, as_modulus, order_factors
 from .errors import BudgetExceeded
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -108,12 +109,12 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
     mod = as_modulus(modulus)
     n = mod.n
     gens = [g % n for g in generators]
-    orders = [multiplicative_order(g, mod) for g in gens]
+    factored = [dict(order_factors(g, mod)) for g in gens]
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.
     deficient = []
-    for q in mod.carmichael_factorization.primes:
-        vals = [_valuation(r, q) for r in orders]
+    for q in sorted({q for f in factored for q in f}):
+        vals = [f.get(q, 0) for f in factored]
         if sum(v > 0 for v in vals) < 2:
             continue
         if q > MAX_SHARED_PRIME:
@@ -129,12 +130,12 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
             deficient.append((q, e, rows, span))
     if not deficient:
         return IndependenceResult(True, None)
-    for i, r in enumerate(orders):
-        v = r
+    for i, f in enumerate(factored):
+        r = v = math.prod(q**b for q, b in f.items())
         for q, e, rows, span in deficient:
-            if r % q == 0:
+            if q in f:
                 without = _span_valuation([row[:i] + row[i + 1 :] for row in rows], q, e)
-                v = v // q ** _valuation(r, q) * q ** (span - without)
+                v = v // q ** f[q] * q ** (span - without)
         if v < r:
             return IndependenceResult(False, (i, v))
     raise AssertionError(f"a deficient prime of {gens} mod {n}, yet every generator has full index")

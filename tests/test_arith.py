@@ -13,6 +13,7 @@ from mdlp.arith import (
     factorize,
     is_probable_prime,
     multiplicative_order,
+    order_factors,
     primes_up_to,
 )
 from mdlp.errors import BudgetExceeded, InvalidModulus, NotAUnit
@@ -246,6 +247,37 @@ class TestMultiplicativeOrder:
         assert m.carmichael == math.lcm(*orders)
         with pytest.raises(NotAUnit):
             multiplicative_order(m.factorization.primes[-1], m)
+
+
+class TestOrderFactors:
+    @staticmethod
+    def brute(u, n):
+        r = brute_order(u, n)
+        return tuple(factorize(r)) if r > 1 else ()
+
+    @pytest.mark.parametrize(
+        "n", [2, 4, 8, 16, 2**6, 2 * 3**2, 2**5 * 3, 3**4, 7**3, 5**2 * 7, 2**3 * 3**2 * 5]
+    )
+    def test_every_unit_matches_brute_force(self, n):
+        # Even N, 2**a with a >= 3 (non-cyclic), odd prime powers.
+        m = Modulus.from_int(n)
+        for u in range(1, n):
+            if math.gcd(u, n) != 1:
+                continue
+            got = order_factors(u, m)
+            assert got == self.brute(u, n)
+            assert all(b >= 1 for _, b in got)
+            assert multiplicative_order(u, m) == math.prod(q**b for q, b in got)
+
+    def test_identity_is_empty(self):
+        assert order_factors(1, 35) == ()
+        assert order_factors(36, Modulus.from_int(35)) == ()
+        assert order_factors(1, 2) == ()
+
+    def test_non_unit(self):
+        with pytest.raises(NotAUnit) as exc:
+            order_factors(14, Modulus.from_int(35))
+        assert exc.value.gcd == 7
 
 
 class TestModulus:

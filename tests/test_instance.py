@@ -376,14 +376,10 @@ class TestGenerate:
 
     def test_divisors_against_brute_force(self):
         for r in range(1, 3001):
-            primes = factorize(r).primes if r > 1 else ()
+            factors = tuple(factorize(r)) if r > 1 else ()
             brute = [d for d in range(1, r + 1) if r % d == 0]
-            assert _divisors(r, primes) == brute
             for cap in (1, 2, 7, r, r + 1):
-                assert _divisors(r, primes, cap) == [d for d in brute if d <= cap]
-        assert _divisors(12, (2, 3, 5, 7)) == [1, 2, 3, 4, 6, 12]
-        with pytest.raises(ValueError):
-            _divisors(12, (2,))
+                assert _divisors(factors, cap) == [d for d in brute if d <= cap]
 
     def test_only_the_accepted_draft_is_rebuilt(self):
         # Rejected drafts keep the orders the draw gave them; make_instance,
