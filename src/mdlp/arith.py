@@ -275,11 +275,6 @@ class Modulus:
                 exps[q] = max(exps.get(q, 0), b)
         return Factorization(tuple(sorted(exps.items())))
 
-    @cached_property
-    def carmichael(self) -> int:
-        """lambda(n) as an integer."""
-        return self.carmichael_factorization.n
-
 
 def as_modulus(m) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus.from_int(m)

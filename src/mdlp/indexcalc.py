@@ -18,8 +18,10 @@ The classic pipeline over F_p with base alpha of order n:
    one more product than a step-2 trial, from the same table and test;
 5. read off log_alpha beta = -delta + sum b_i * log_alpha p_i (mod n).
 
-Every kept relation and the returned log are re-checked with the builtin
-pow, so a wrong table entry can raise but never yield a wrong log.
+alpha's order n, factored by order_factors, and the table are built once
+per (p, alpha), in one record that every step reads. Every kept relation
+and the returned log are re-checked with the builtin pow, so a wrong
+table entry can raise but never yield a wrong log.
 
 Applied to a multi-generator target the same machinery produces one
 equation log beta = sum k_i log g_i per choice of base, but switching the
@@ -36,8 +38,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _echelon, _valuation, is_probable_prime
-from .arith import multiplicative_order, primes_up_to
+from .arith import Factorization, Modulus, _echelon, is_probable_prime
+from .arith import multiplicative_order, order_factors, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
 from .solvers import solve_dlp
@@ -88,14 +90,20 @@ _DIGIT = (1 << _WINDOW) - 1
 
 
 @functools.lru_cache(maxsize=1)
-def _power_table(p: int, alpha: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """rows[j][d] = alpha**(d * 2**(_WINDOW * j)) mod p, one row per
-    _WINDOW-bit window of n, so every exponent below n has a digit per row.
+def _base_record(p: int, alpha: int) -> tuple[int, tuple[tuple[int, int], ...], tuple]:
+    """(n, n factored, rows) for alpha mod the prime p: n is alpha's order,
+    its (q, b) pairs from order_factors, and rows[j][d] =
+    alpha**(d * 2**(_WINDOW * j)) mod p, one row per _WINDOW-bit window of
+    n, so every exponent below n has a digit per row.
 
-    The one table kept is shared by every retry round of collect_relations
-    and by the shift search of dlp_via_index_calculus, which all ask for
-    the same (p, alpha, n).
+    F_p is built by Modulus.from_factorization, which tests p for primality
+    (InvalidModulus, a ValueError, when it is composite) but never factors
+    it. The one record kept is shared by every retry round of
+    collect_relations and solve_base_logs and by the shift search of
+    dlp_via_index_calculus, which all ask for the same (p, alpha).
     """
+    factors = order_factors(alpha, Modulus.from_factorization(Factorization(((p, 1),))))
+    n = math.prod(q**b for q, b in factors)
     rows = []
     base = alpha % p
     for _ in range(-(-n.bit_length() // _WINDOW)):
@@ -104,7 +112,7 @@ def _power_table(p: int, alpha: int, n: int) -> tuple[tuple[int, ...], ...]:
             row.append(row[-1] * base % p)
         rows.append(tuple(row))
         base = row[-1] * base % p
-    return tuple(rows)
+    return n, factors, tuple(rows)
 
 
 def _table_power(rows: tuple[tuple[int, ...], ...], k: int, p: int) -> int:
@@ -132,7 +140,6 @@ class Relation:
 class RelationMatrix:
     p: int
     alpha: int
-    order: int
     fb: tuple[int, ...]
     rows: tuple[Relation, ...]
 
@@ -150,17 +157,17 @@ def collect_relations(
     fb: tuple[int, ...],
     slack: int = DEFAULT_SLACK,
     seed: int = 0,
-    order: Optional[int] = None,
 ) -> RelationMatrix:
     """At least len(fb) + slack verified relations, deterministic in seed.
 
     Rows are deduped and sorted before assembly so the downstream solve is
-    stable no matter how the collection was scheduled. Raises
-    BudgetExceeded at once when alpha's order n is below that count, since
-    the n exponents k give at most n distinct relations, and after
+    stable no matter how the collection was scheduled. alpha's order n and
+    its power table come from the (p, alpha) record, so p must be prime.
+    Raises BudgetExceeded at once when n is below that count, since the n
+    exponents k give at most n distinct relations, and after
     DEFAULT_RELATION_TRIALS trials otherwise.
     """
-    n = order if order is not None else multiplicative_order(alpha, Modulus.from_int(p))
+    n, _, table = _base_record(p, alpha)
     want = len(fb) + slack
     if n < want:
         raise BudgetExceeded(
@@ -168,7 +175,6 @@ def collect_relations(
             f"relations exist; {want} are needed"
         )
     rng = random.Random(seed)
-    table = _power_table(p, alpha, n)
     fb_product = math.prod(fb)
     found: set[Relation] = set()
     for _ in range(DEFAULT_RELATION_TRIALS):
@@ -183,7 +189,7 @@ def collect_relations(
         found.add(rel)
         if len(found) >= want:
             rows = tuple(sorted(found, key=lambda r: (r.k, r.exponents)))
-            return RelationMatrix(p, alpha, n, fb, rows)
+            return RelationMatrix(p, alpha, fb, rows)
     raise BudgetExceeded(
         f"only {len(found)}/{want} relations after {DEFAULT_RELATION_TRIALS} trials "
         f"({len(fb)} factor-base primes too few for p={p}?)"
@@ -212,31 +218,23 @@ def _solve_mod_prime_power(
     return [row[ncols] for _, row in sorted(zip(pivots, aug))]
 
 
-def solve_base_logs(mat: RelationMatrix, modulus: Optional[Modulus] = None) -> list[int]:
-    """log_alpha p_i mod the group order, for every factor-base prime.
+def solve_base_logs(mat: RelationMatrix) -> list[int]:
+    """log_alpha p_i mod alpha's order n, for every factor-base prime.
 
-    Solved separately mod each prime-power factor of the order, CRT
-    recombined, and each log re-verified by powering; a RankDeficient
-    error means the caller should collect more relations (or the base does
-    not generate all of the factor base). The order's prime powers are
-    read off the factored lambda(p) of ``modulus``, Z/p as a Modulus, so
-    a caller that keeps one across retries factors nothing here; without
-    it, lambda(p) = p - 1 is factored.
+    Solved separately mod each prime power of n, read off the factored
+    order in the (p, alpha) record, CRT recombined, and each log
+    re-verified by powering; a RankDeficient error means the caller should
+    collect more relations (or the base does not generate all of the
+    factor base).
     """
-    mod = modulus if modulus is not None else Modulus(Factorization(((mat.p, 1),)))
-    if mod.n != mat.p or mod.carmichael % mat.order:
-        raise ValueError(f"order {mat.order} mod {mat.p} does not divide lambda({mod.n})")
+    n, factors, _ = _base_record(mat.p, mat.alpha)
     m = len(mat.fb)
     rows = [(rel.exponents, rel.k) for rel in mat.rows]
-    components = []
-    for q in mod.carmichael_factorization.primes:
-        e = _valuation(mat.order, q)
-        if e:
-            components.append((q**e, _solve_mod_prime_power(rows, m, q, e)))
+    components = [(q**e, _solve_mod_prime_power(rows, m, q, e)) for q, e in factors]
     logs = []
     for i in range(m):
         sol = solve_system([Congruence(x[i], qe) for qe, x in components])
-        logs.append(sol.residue % mat.order)
+        logs.append(sol.residue % n)
     for q, log in zip(mat.fb, logs):
         if pow(mat.alpha, log, mat.p) != q % mat.p:
             raise RankDeficient(
@@ -254,8 +252,8 @@ def dlp_via_index_calculus(
 ) -> int:
     """log_alpha beta mod p by the five-step pipeline above.
 
-    Raises ValueError when beta is outside <alpha>, before any relation
-    is collected. The returned exponent is verified by powering before it
+    Raises ValueError for a composite p or non-unit alpha or beta, and
+    when beta is outside <alpha>, before any relation is collected. The returned exponent is verified by powering before it
     is returned. Raises BudgetExceeded when smoothness retries run out.
     """
     if not is_probable_prime(p):
@@ -264,8 +262,7 @@ def dlp_via_index_calculus(
         raise ValueError("alpha and beta must be units mod p")
     alpha %= p
     beta %= p
-    field = Modulus(Factorization(((p, 1),)))
-    n = multiplicative_order(alpha, field)
+    n, _, table = _base_record(p, alpha)
     # F_p* is cyclic, so its one subgroup of order n is <alpha>.
     if pow(beta, n, p) != 1:
         raise ValueError(f"beta={beta} is outside the group generated by alpha={alpha} mod {p}")
@@ -274,13 +271,10 @@ def dlp_via_index_calculus(
     logs = None
     for round_ in range(4):
         mat = collect_relations(
-            p, alpha, fb,
-            slack=DEFAULT_SLACK + 10 * round_,
-            seed=seed + round_,
-            order=n,
+            p, alpha, fb, slack=DEFAULT_SLACK + 10 * round_, seed=seed + round_
         )
         try:
-            logs = solve_base_logs(mat, field)
+            logs = solve_base_logs(mat)
             break
         except RankDeficient:
             continue
@@ -290,7 +284,6 @@ def dlp_via_index_calculus(
         )
 
     rng = random.Random(f"shift:{seed}")
-    table = _power_table(p, alpha, n)
     fb_product = math.prod(fb)
     for _ in range(DEFAULT_SHIFT_TRIALS):
         delta = rng.randrange(n)

@@ -217,24 +217,25 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
 
     At a prime p with g_l = 1 (mod p) for every l != i, the target
     satisfies beta = g_i**k_i (mod p), so a local DLP pins k_i modulo the
-    order of g_i mod p. Residues from several primes merge by CRT. The
-    reduction is attacker-checkable: it never peeks at the witness.
+    order of g_i mod p. One pass over N's primes finds them: p serves when
+    exactly one generator is not 1 mod p. Residues from several primes
+    merge by CRT. The reduction is attacker-checkable: it never peeks at
+    the witness.
     """
     ops = [0]
-    congruences: dict[int, Congruence] = {}
-    for i, g in enumerate(inst.generators):
-        entries = []
-        for p in inst.modulus.factorization.primes:
-            if any(inst.generators[l] % p != 1 for l in range(inst.t) if l != i):
-                continue
-            if g % p == 1:
-                continue
+    entries: list[list[Congruence]] = [[] for _ in inst.generators]
+    for p in inst.modulus.factorization.primes:
+        live = [i for i, g in enumerate(inst.generators) if g % p != 1]
+        if len(live) == 1:
+            g = inst.generators[live[0]]
             x = solve_dlp(g, inst.beta, Modulus(Factorization(((p, 1),))), ops)
             if x is not None:
-                entries.append(x)
-        if entries:
+                entries[live[0]].append(x)
+    congruences: dict[int, Congruence] = {}
+    for i, pinned in enumerate(entries):
+        if pinned:
             try:
-                congruences[i] = solve_system(entries)
+                congruences[i] = solve_system(pinned)
             except UnsolvableSystem:
                 pass  # conflicting residues pin nothing
 

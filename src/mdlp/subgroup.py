@@ -20,7 +20,7 @@ import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _echelon, _prime_power_log, _valuation, as_modulus, order_factors
+from .arith import Modulus, _echelon, _prime_power_log, as_modulus, order_factors
 from .errors import BudgetExceeded
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -53,35 +53,30 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[
     Entry i is the log of g_i's projection into that factor. A factor of
     order q^F is cut to its subgroup of order q^f, f = min(F, e), which
     holds every projection because g_i**(q**e) has no q-part; the entry
-    is scaled by q^(e - f), so every row lives in Z/q^e.
+    is scaled by q^(e - f), so every row lives in Z/q^e. F is the exponent
+    of q in the component's factored lambda(p^a).
     """
     rows = []
-    for p, a in mod.factorization:
-        m = p**a
-        ys = [g % m for g in gens]
-        if p == 2:
-            if q != 2 or a == 1:
-                continue
-            # (Z/2^a)* = <-1> x <5>: y = (-1)**s * 5**x with s = 0 iff y = 1 mod 4.
-            rows.append([(y % 4 != 1) << (e - 1) for y in ys])
-            if a >= 3:
-                f = min(a - 2, e)
-                base = pow(5, 2 ** (a - 2 - f), m)
-                zs = [y if y % 4 == 1 else m - y for y in ys]
-                rows.append([_checked_log(base, z, m, 2, f) << (e - f) for z in zs])
-            continue
-        phi = p ** (a - 1) * (p - 1)
-        big_f = _valuation(phi, q)
+    for m, lam in mod.components:
+        big_f = dict(lam).get(q, 0)
         if big_f == 0:
             continue
-        cof = phi // q**big_f
-        ys = [pow(y, cof, m) for y in ys]
+        ys = [g % m for g in gens]
+        if m % 2 == 0:
+            # (Z/2^a)* = <-1> x <5>: y = (-1)**s * 5**x with s = 0 iff y = 1
+            # mod 4. 5 has order lambda(2^a) = 2^(a-2) for a >= 3; for a = 2
+            # every +-y below is 1, so that row is dropped.
+            rows.append([(y % 4 != 1) << (e - 1) for y in ys])
+            ys = [y if y % 4 == 1 else m - y for y in ys]
+            c = 5
+        else:
+            ys = [pow(y, lam.n // q**big_f, m) for y in ys]
+            # c**(lambda/q) != 1 means c's q-part has the full order q^F.
+            c = next(c for c in count(2) if pow(c, lam.n // q, m) != 1)
         if all(y == 1 for y in ys):
             continue  # a zero row spans nothing
         f = min(big_f, e)
-        # c**(phi/q) != 1 means c's q-part has the full order q^F.
-        c = next(c for c in count(2) if pow(c, phi // q, m) != 1)
-        base = pow(c, phi // q**f, m)
+        base = pow(c, lam.n // q**f, m)
         scale = q ** (e - f)
         rows.append([_checked_log(base, y, m, q, f) * scale for y in ys])
     return rows

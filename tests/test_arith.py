@@ -157,20 +157,20 @@ class TestPrimality:
 
 class TestTotients:
     def test_values_for_35(self):
-        assert Modulus.from_int(35).carmichael == 12
+        assert Modulus.from_int(35).carmichael_factorization.n == 12
 
     def test_powers_of_two(self):
-        assert Modulus.from_int(2).carmichael == 1
-        assert Modulus.from_int(4).carmichael == 2
-        assert Modulus.from_int(8).carmichael == 2
-        assert Modulus.from_int(32).carmichael == 8
+        assert Modulus.from_int(2).carmichael_factorization.n == 1
+        assert Modulus.from_int(4).carmichael_factorization.n == 2
+        assert Modulus.from_int(8).carmichael_factorization.n == 2
+        assert Modulus.from_int(32).carmichael_factorization.n == 8
 
     def test_carmichael_divides_euler(self):
         rng = random.Random(13)
         for _ in range(100):
             m = Modulus.from_int(rng.randrange(2, 100_000))
             phi = math.prod(p ** (a - 1) * (p - 1) for p, a in m.factorization)
-            assert phi % m.carmichael == 0
+            assert phi % m.carmichael_factorization.n == 0
 
     def test_carmichael_factorization_matches_formula(self):
         # Every n up to 20,000, prime powers and 2**a included, against
@@ -182,7 +182,7 @@ class TestTotients:
                 else p ** (a - 1) * (p - 1)
                 for p, a in m.factorization
             ))
-            assert m.carmichael == lam
+            assert m.carmichael_factorization.n == lam
             want = factorize(lam) if lam > 1 else Factorization(())
             assert m.carmichael_factorization == want
 
@@ -193,7 +193,7 @@ class TestTotients:
             for _ in range(10):
                 u = rng.randrange(1, m.n)
                 if math.gcd(u, m.n) == 1:
-                    assert pow(u, m.carmichael, m.n) == 1
+                    assert pow(u, m.carmichael_factorization.n, m.n) == 1
 
 
 class TestMultiplicativeOrder:
@@ -244,7 +244,7 @@ class TestMultiplicativeOrder:
         orders = [multiplicative_order(u, m) for u in units]
         assert orders == [brute_order(u, n) for u in units]
         # lambda(n) is the exponent of Z_n^*: the lcm of all unit orders.
-        assert m.carmichael == math.lcm(*orders)
+        assert m.carmichael_factorization.n == math.lcm(*orders)
         with pytest.raises(NotAUnit):
             multiplicative_order(m.factorization.primes[-1], m)
 

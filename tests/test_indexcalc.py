@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from mdlp import arith, indexcalc
 from mdlp.arith import Modulus, _echelon, factorize, multiplicative_order, primes_up_to
-from mdlp.errors import BudgetExceeded, RankDeficient
+from mdlp.errors import BudgetExceeded, InvalidModulus, RankDeficient
 from mdlp.indexcalc import (
     _WINDOW,
-    _power_table,
+    _base_record,
     _rough_part,
     _solve_mod_prime_power,
     _table_power,
@@ -93,9 +93,10 @@ class TestPowerTable:
         (1073741827, 2, 31),
     ])
     def test_matches_builtin_pow(self, p, alpha, bits):
-        n = multiplicative_order(alpha, Modulus.from_int(p))
+        n, factors, rows = _base_record(p, alpha)
+        assert n == multiplicative_order(alpha, Modulus.from_int(p))
+        assert factors == (tuple(factorize(n)) if n > 1 else ())
         assert n.bit_length() == bits
-        rows = _power_table(p, alpha, n)
         assert len(rows) == -(-bits // _WINDOW)
         w = _WINDOW
         rng = random.Random(p)
@@ -134,7 +135,7 @@ def reference_relations(p, alpha, fb, slack, seed, n):
             found.add(Relation(k, tuple(exps)))
             if len(found) >= want:
                 rows = tuple(sorted(found, key=lambda r: (r.k, r.exponents)))
-                return RelationMatrix(p, alpha, n, fb, rows)
+                return RelationMatrix(p, alpha, fb, rows)
     raise AssertionError(f"reference found {len(found)}/{want} relations")
 
 
@@ -172,13 +173,14 @@ class TestFastTrialsOracle:
 
     def test_one_table_for_every_round_and_the_shift(self):
         solve, calls = forced_retries(2)
-        _power_table.cache_clear()
+        _base_record.cache_clear()
         with mock.patch.object(indexcalc, "_solve_mod_prime_power", solve):
             assert dlp_via_index_calculus(107, 2, 61, bound=7) == 10
-        info = _power_table.cache_info()
-        # Three collection rounds and the shift search, one table build.
+        info = _base_record.cache_info()
+        # One record built for the order check and the shift search, read
+        # again by each of three collection rounds and their solves.
         assert len(calls) > 2
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 6)
 
     def test_known_rank_deficient_fault_is_unchanged(self):
         # Collection stops at |S| + 10 rows, so factor-base primes in no
@@ -237,13 +239,17 @@ class TestSolveBaseLogs:
         fb = build_factor_base(107, 7)
         rows = tuple(Relation(0, (0, 0, 0, 0)) for _ in range(8))
         with pytest.raises(RankDeficient):
-            solve_base_logs(RelationMatrix(107, 2, 106, fb, rows))
+            solve_base_logs(RelationMatrix(107, 2, fb, rows))
 
-    def test_modulus_must_be_the_relations_prime(self):
-        mat = collect_relations(107, 2, build_factor_base(107, 7), slack=5, seed=1)
-        for p in (109, 1009):
-            with pytest.raises(ValueError, match="does not divide"):
-                solve_base_logs(mat, arith.Modulus(arith.Factorization(((p, 1),))))
+    def test_composite_p_rejected(self):
+        # alpha's order is read over F_p, so p must be prime.
+        fb = build_factor_base(105, 7)
+        rows = tuple(Relation(0, (0, 0, 0, 0)) for _ in range(8))
+        assert issubclass(InvalidModulus, ValueError)
+        with pytest.raises(InvalidModulus, match="listed factor 105 is not prime"):
+            collect_relations(105, 2, fb, slack=3)
+        with pytest.raises(InvalidModulus, match="listed factor 105 is not prime"):
+            solve_base_logs(RelationMatrix(105, 2, fb, rows))
 
 
 class TestDlpViaIndexCalculus:
@@ -283,6 +289,7 @@ class TestDlpViaIndexCalculus:
                 factored.append(frame.f_locals["n"])
 
         solve, calls = forced_retries(2)
+        _base_record.cache_clear()
         sys.setprofile(profile)
         try:
             with mock.patch.object(indexcalc, "_solve_mod_prime_power", solve):
