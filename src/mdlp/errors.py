@@ -26,14 +26,16 @@ class BudgetExceeded(MdlpError):
 class GenerationFailed(BudgetExceeded):
     """Rejection sampling exhausted its attempt budget.
 
-    ``rejections`` maps each rejection stage to the number of attempts it
-    rejected; ``attempts`` is their sum.
+    ``rejections`` maps each rejection stage to the number of draws it
+    rejected, witness redraws included, so they can sum to more than
+    ``attempts``.
     """
 
-    def __init__(self, rejections, detail=""):
+    def __init__(self, rejections, attempts, detail=""):
         self.rejections = dict(rejections)
-        self.attempts = sum(self.rejections.values())
-        msg = f"no instance found after {self.attempts} attempts"
+        self.attempts = attempts
+        rejected = sum(self.rejections.values())
+        msg = f"no instance found after {attempts} attempts ({rejected} rejected draws)"
         if detail:
             msg += f" ({detail})"
         msg += "; rejected by " + ", ".join(

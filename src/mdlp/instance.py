@@ -27,6 +27,7 @@ from .errors import BudgetExceeded, GenerationFailed, IndependenceViolation
 SCHEMA_VERSION = 1
 DEFAULT_CELL_BUDGET = 1 << 14
 DEFAULT_MAX_ATTEMPTS = 4000
+WITNESS_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ def _divisors(factors: Sequence[tuple[int, int]], cap: int) -> list[int]:
     return sorted(out)
 
 
-# Why generate rejected an attempt, in the order the tests run.
+# Why generate rejected a draw, in the order the tests run.
 REJECTION_STAGES = (
     "modulus",
     "generator",
@@ -374,11 +375,14 @@ def generate(
     stops at the first that rejects it (REJECTION_STAGES): sample a
     modulus, draw t generators of usable order, bound their order product,
     draw the witness, then the collapse and peel constraints, and last the
-    independence check. The witness is the attempt's last random draw, so
-    the order of the tests after it does not change which instance a seed
-    gives. Raises ValueError for a constraint no instance can meet, and
-    GenerationFailed, carrying the rejections by stage, after
-    DEFAULT_MAX_ATTEMPTS attempts.
+    independence check. A witness the collapse or peel constraint rejects
+    is redrawn, up to WITNESS_DRAWS times, on the same generators; a draft
+    that no witness can make peel-resistant gets one draw. The witness is
+    the attempt's last random draw, so the order of the tests after it
+    does not change which instance a seed gives, and an attempt with
+    neither constraint draws one witness. Raises ValueError for a
+    constraint no instance can meet, and GenerationFailed, carrying the
+    rejected draws by stage, after DEFAULT_MAX_ATTEMPTS attempts.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -455,23 +459,31 @@ def generate(
         if math.prod(orders) > bound:
             rejections["order_product"] += 1
             continue
-        # Each u**(r/d) has order exactly d, so the draft takes the drawn
-        # orders; make_instance recomputes them for the accepted one only.
-        witness = tuple(rng.randrange(r) for r in orders)
-        draft = Instance(
-            modulus, tuple(gens), tuple(orders), _eval_product(gens, witness, n), witness
+        # At a prime of N where at most one generator is not 1, omitting
+        # that one leaves 1, so no witness makes the draft peel-resistant.
+        hopeless = require_peel_resistant and any(
+            sum(g % p != 1 for g in gens) < 2 for p in modulus.factorization.primes
         )
-        if (
-            require_collapse_resistant is not None
-            and check_collapse_resistance(draft).resistant != require_collapse_resistant
-        ):
-            rejections["collapse"] += 1
-            continue
-        if (
-            require_peel_resistant is not None
-            and check_peel_resistance(draft).resistant != require_peel_resistant
-        ):
-            rejections["peel"] += 1
+        for _ in range(1 if hopeless else WITNESS_DRAWS):
+            # Each u**(r/d) has order exactly d, so the draft takes the drawn
+            # orders; make_instance recomputes them for the accepted one only.
+            witness = tuple(rng.randrange(r) for r in orders)
+            draft = Instance(
+                modulus, tuple(gens), tuple(orders), _eval_product(gens, witness, n), witness
+            )
+            if (
+                require_collapse_resistant is not None
+                and check_collapse_resistance(draft).resistant != require_collapse_resistant
+            ):
+                rejections["collapse"] += 1
+            elif (
+                require_peel_resistant is not None
+                and check_peel_resistance(draft).resistant != require_peel_resistant
+            ):
+                rejections["peel"] += 1
+            else:
+                break
+        else:
             continue
         if not subgroup.independence_check(draft.generators, modulus).independent:
             rejections["independence"] += 1
@@ -488,7 +500,7 @@ def generate(
                 f"drawn orders {draft.orders} differ from the recomputed {inst.orders}"
             )
         return replace(inst, independence_verified=True)
-    raise GenerationFailed(rejections, f"bits={bits} t={t}")
+    raise GenerationFailed(rejections, DEFAULT_MAX_ATTEMPTS, f"bits={bits} t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -349,16 +349,47 @@ class TestGenerate:
 
     def test_rejections_counted_by_stage(self):
         # Satisfiable (the constrained pin below generates this shape with
-        # the default budget), but not within six attempts.
-        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 6), \
+        # the default budget), but not within ten attempts. Every rejected
+        # witness redraw counts, so the rejections outnumber the attempts.
+        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 10), \
                 pytest.raises(GenerationFailed) as exc:
             generate(8, bits=24, t=4, require_collapse_resistant=True,
                      require_peel_resistant=True, max_order_product=1 << 16)
         rejections = exc.value.rejections
         assert list(rejections) == list(REJECTION_STAGES)
-        assert sum(rejections.values()) == exc.value.attempts == 6
+        assert exc.value.attempts == 10
+        rejected = sum(rejections.values())
+        assert rejected > exc.value.attempts
+        assert f"after 10 attempts ({rejected} rejected draws)" in str(exc.value)
         for stage, count in rejections.items():
             assert f"{stage} {count}" in str(exc.value)
+
+    def test_peel_resistant_after_witness_redraws(self):
+        # With one witness per draft this seed runs out of attempts, 2,421
+        # of its 4,000 drafts rejected at peel.
+        inst = generate(3017, bits=32, t=4, require_collapse_resistant=True,
+                        require_peel_resistant=True, max_order_product=1 << 16)
+        assert hardness_report(inst).verdict == VERDICT_RESISTS
+
+    def test_no_witness_peels_where_one_generator_lives(self):
+        # At a prime p of N where at most one generator is not 1 mod p,
+        # omitting that one leaves the product 1 mod p for every witness;
+        # generate gives such a draft a single witness draw.
+        rng = random.Random(22)
+        hopeless = 0
+        for n in (15, 21, 35, 39, 45, 63, 77, 91, 105, 143, 165):
+            units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+            primes = factorize(n).primes
+            for _ in range(30):
+                gens = rng.sample(units, rng.choice((2, 3)))
+                if all(sum(g % p != 1 for g in gens) >= 2 for p in primes):
+                    continue
+                hopeless += 1
+                draft = make_instance(n, gens, witness=[0] * len(gens),
+                                      check_independence=False)
+                for k in itertools.product(*map(range, draft.orders)):
+                    assert not check_peel_resistance(replace(draft, witness=k)).resistant
+        assert hopeless > 50
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -423,12 +454,10 @@ class TestGenerate:
         dict(seed=1, bits=16, t=2),
         dict(seed=2, bits=20, t=3, max_order_product=1 << 12),
         dict(seed=3, bits=24, t=4, max_order_product=1 << 16),
-        dict(seed=4, bits=32, t=2, require_collapse_resistant=True),
         dict(seed=5, bits=40, t=2, max_order_product=1 << 20),
-        dict(seed=6, bits=40, t=3, require_peel_resistant=True, max_order_product=1 << 18),
         dict(seed=7, bits=40, t=4, max_order_product=1 << 16),
     )
-    PINNED_DIGEST = "13fc81314b908d6dd5bcade5ea6352abc1928e620d6bfe91f921da84fe4b5de6"
+    PINNED_DIGEST = "9033c1f82a20f9879d565413f4db86d8961a1e15d4058a58443c3e5463d437d1"
 
     def test_documents_are_pinned(self):
         h = hashlib.sha256()
@@ -436,10 +465,10 @@ class TestGenerate:
             h.update(dumps(generate(**shape)).encode())
         assert h.hexdigest() == self.PINNED_DIGEST
 
-    # Shapes that pin a hardness constraint to False, or both to True: the
-    # cells where the order of the rejection tests matters most. The first
-    # two are the benchmark design grid's collapse-vulnerable cell and its
-    # 24-bit t = 4 collapse- and peel-resistant cell.
+    # Shapes that pin a hardness constraint: the cells where the order of
+    # the rejection tests and the witness redraws matter. The first two are
+    # the benchmark design grid's collapse-vulnerable cell and its 24-bit
+    # t = 4 collapse- and peel-resistant cell.
     CONSTRAINED_SHAPES = (
         dict(seed=27, bits=32, t=2, require_collapse_resistant=False,
              require_peel_resistant=True, max_order_product=1 << 20),
@@ -450,8 +479,10 @@ class TestGenerate:
              require_peel_resistant=False),
         dict(seed=12, bits=32, t=3, require_collapse_resistant=True,
              require_peel_resistant=True, max_order_product=1 << 18),
+        dict(seed=4, bits=32, t=2, require_collapse_resistant=True),
+        dict(seed=6, bits=40, t=3, require_peel_resistant=True, max_order_product=1 << 18),
     )
-    CONSTRAINED_DIGEST = "aa25099a3c6dd03509aa44e8f81568c0a8a6c2d30a9ce78ec0a1fe4d796459c3"
+    CONSTRAINED_DIGEST = "27653237ce85ca6a9e17e7a66f2a0b5af533c944e1f44bd21de6da8511fbe071"
 
     def test_constrained_documents_are_pinned(self):
         h = hashlib.sha256()
