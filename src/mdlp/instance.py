@@ -5,6 +5,11 @@ g_1..g_t with computed orders r_1..r_t, a target beta in <g_1,...,g_t>, and
 optionally the witness exponents (k_1,...,k_t) with
 beta = g_1**k_1 * ... * g_t**k_t mod N.
 
+Random instances are built, not rejection-sampled: generate samples N
+and constructs t independent generators on it in exponent space, one
+exponent per cyclic component of Z_N*, with orders chosen within the
+order bound and a shape chosen for the hardness constraints.
+
 The hardness validators are parameter-vetting tools for instance designers
 and therefore require the witness; the attacks that work without one live
 in the solvers module.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import subgroup
@@ -28,6 +33,10 @@ SCHEMA_VERSION = 1
 DEFAULT_CELL_BUDGET = 1 << 14
 DEFAULT_MAX_ATTEMPTS = 4000
 WITNESS_DRAWS = 16
+# Draws of a draft's exponents at one prime until they are independent,
+# and of all of them until the peel shape holds; most drafts need one or
+# two. Running out sends generate to a new modulus.
+COLUMN_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,11 @@ def make_instance(
     beta must be given. Raises NotAUnit for bad generators and
     IndependenceViolation (with the offending power) for dependent ones;
     the check raises BudgetExceeded when a prime shared by two orders is
-    too large to log (see subgroup.MAX_SHARED_PRIME).
-    ``check_independence=False`` is for callers that build independent
-    generators by construction, such as CRT-built instances, and for
-    generate, which has already run the check on the draft it accepts.
+    too large to log (see subgroup.MAX_SHARED_PRIME). Each order is
+    computed once, factored by order_factors, and the independence check
+    reads it from there. ``check_independence=False`` is for callers that
+    build independent generators by construction and need no check, such
+    as CRT-built instances; generate keeps the check on what it builds.
     """
     if isinstance(modulus_or_n, Factorization):
         modulus = Modulus.from_factorization(modulus_or_n)
@@ -85,7 +95,8 @@ def make_instance(
     gens = tuple(g % n for g in generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    orders = tuple(multiplicative_order(g, modulus) for g in gens)
+    factored = [order_factors(g, modulus) for g in gens]
+    orders = tuple(math.prod(q**b for q, b in f) for f in factored)
 
     if witness is not None:
         if len(witness) != len(gens):
@@ -105,7 +116,7 @@ def make_instance(
 
     verified = False
     if check_independence:
-        res = subgroup.independence_check(gens, modulus)
+        res = subgroup._independence(gens, modulus, factored)
         if not res.independent:
             raise IndependenceViolation(res.witness)
         verified = True
@@ -188,13 +199,21 @@ def check_collapse_resistance(inst: Instance) -> CollapseCheck:
 
 def check_peel_resistance(inst: Instance) -> PeelCheck:
     k = _require_witness(inst)
-    for i in range(inst.t):
-        for p in inst.modulus.factorization.primes:
-            omitted = 1
-            for l in range(inst.t):
-                if l != i:
-                    omitted = omitted * pow(inst.generators[l], k[l], p) % p
-            if omitted == 1:
+    t, primes = inst.t, inst.modulus.factorization.primes
+    # omitted[p][i] is the product of every g_l**k_l but the i-th, mod p:
+    # the product of the powers before i and of those after it, so each
+    # power is taken once per prime.
+    omitted = {}
+    for p in primes:
+        powers = [pow(g, e, p) for g, e in zip(inst.generators, k)]
+        before, after = [1] * (t + 1), [1] * (t + 1)
+        for i in range(t):
+            before[i + 1] = before[i] * powers[i] % p
+            after[t - 1 - i] = after[t - i] * powers[t - 1 - i] % p
+        omitted[p] = [before[i] * after[i + 1] % p for i in range(t)]
+    for i in range(t):
+        for p in primes:
+            if omitted[p][i] == 1:
                 return PeelCheck(False, violation=(i, p))
     return PeelCheck(True)
 
@@ -327,35 +346,154 @@ def _sample_modulus(rng: random.Random, bits: int, parts: int) -> Optional[Modul
     return Modulus(Factorization(tuple(sorted(chosen.items()))))
 
 
-def _divisors(factors: Sequence[tuple[int, int]], cap: int) -> list[int]:
-    """The divisors up to ``cap`` >= 1, ascending, of the number whose
-    (prime, exponent) pairs are ``factors``.
+def _unit_basis(modulus: Modulus) -> list[tuple[int, int, Factorization, int, int]]:
+    """(p, p**a, lambda(p**a) factored, c, e) for each component of an odd N.
 
-    A divisor above the cap is not extended by further prime powers, so
-    the work follows the divisors kept rather than all of them.
+    Z_{p^a}* is cyclic for odd p, and c is its least generator. e is 1 mod
+    p**a and 0 mod every other component, so the sum over the components
+    of e * (c**x mod p**a) is the unit of N with exponent x at each.
     """
-    out = [1]
-    for p, a in factors:
-        grown = []
-        for d in out:
-            for _ in range(a + 1):
-                if d > cap:
+    n = modulus.n
+    out = []
+    for (p, _), (m, lam) in zip(modulus.factorization, modulus.components):
+        c = next(c for c in range(2, m) if all(pow(c, lam.n // q, m) != 1 for q in lam.primes))
+        rest = n // m
+        out.append((p, m, lam, c, rest * pow(rest, -1, m) % n))
+    return out
+
+
+def _construct(
+    rng: random.Random,
+    modulus: Modulus,
+    t: int,
+    bound: int,
+    require_collapse_resistant: Optional[bool],
+    require_peel_resistant: Optional[bool],
+) -> str | tuple[tuple[int, ...], tuple[int, ...]]:
+    """t independent generators of N and their orders, built for the
+    constraints, or the stage that rejects the draw (REJECTION_STAGES).
+
+    Generator i is the unit with exponent x_ij to the generator c_j of
+    each component j, so its order is known before any powering. The
+    orders come first, as prime factors of lambda(N) dealt in random
+    order, each to the generator of least order so far that can still
+    take it, while the order product stays within the bound. Then the
+    exponents, prime by prime (_draw_exponents). A generator lives in a
+    block of components: all of them, except that when peel resistance
+    is refused, the last generator lives at one prime p of N alone and
+    the others are 1 mod p, so omitting it leaves 1 mod p.
+    """
+    basis = _unit_basis(modulus)
+    lams = [dict(lam) for _, _, lam, _, _ in basis]
+    primes = sorted({q for lam in lams for q in lam})
+    everywhere = list(range(len(basis)))
+    blocks = [(range(t), everywhere)]  # (generators, the components they live in)
+    if require_peel_resistant is False and t > 1:
+        j0 = rng.randrange(len(basis))
+        blocks = [(range(t - 1), [j for j in everywhere if j != j0]), ([t - 1], [j0])]
+    shapes: list[dict[int, int]] = [{} for _ in range(t)]  # order i is prod q**shapes[i][q]
+    orders = [1] * t
+
+    def fits(q: int, *takers: int) -> bool:
+        """Can each of the generators ``takers`` take one more factor q?
+
+        Independent elements of orders q**x fit in a direct sum of cyclic
+        groups of orders q**f iff, both sorted descending, each x is at
+        most its f (0 past the last).
+        """
+        for members, comps in blocks:
+            fs = sorted((lams[j].get(q, 0) for j in comps), reverse=True) + [0] * t
+            xs = sorted((shapes[k].get(q, 0) + takers.count(k) for k in members), reverse=True)
+            if any(x > f for x, f in zip(xs, fs)):
+                return False
+        return True
+
+    def take(q: int, i: int) -> None:
+        shapes[i][q] = shapes[i].get(q, 0) + 1
+        orders[i] *= q
+
+    if require_collapse_resistant:
+        # Two orders share a prime, so that a witness can make them
+        # conflict; 2 always can, as every p - 1 is even.
+        q = rng.choice([q for q in primes if q * q << (t - 2) <= bound and fits(q, 0, t - 1)])
+        take(q, 0)
+        take(q, t - 1)
+    slots = [q for q in primes for _ in range(sum(lam.get(q, 0) for lam in lams))]
+    rng.shuffle(slots)
+    for q in slots:
+        fit = [i for i in range(t) if fits(q, i)]
+        if not fit:
+            continue
+        i = min(fit, key=orders.__getitem__)
+        # Leave 2 for each generator still of order 1.
+        if math.prod(orders) * q << (orders.count(1) - (orders[i] == 1)) <= bound:
+            take(q, i)
+    if 1 in orders:
+        return "orders"
+    for _ in range(COLUMN_DRAWS):
+        xs = _draw_exponents(rng, lams, blocks, shapes)
+        if xs is None:
+            continue
+        # g_i is 1 mod p_j iff p_j - 1 divides x_ij: c_j is primitive mod p_j.
+        live = [sum(x[j] % (p - 1) != 0 for x in xs) for j, (p, *_) in enumerate(basis)]
+        if require_peel_resistant is None or (min(live) >= 2) == require_peel_resistant:
+            break
+    else:
+        return "columns"
+    n = modulus.n
+    gens = tuple(
+        sum(idem * pow(c, x, m) for x, (_, m, _, c, idem) in zip(row, basis)) % n for row in xs
+    )
+    return gens, tuple(orders)
+
+
+def _draw_exponents(
+    rng: random.Random,
+    lams: Sequence[dict[int, int]],
+    blocks: Sequence[tuple[Sequence[int], Sequence[int]]],
+    shapes: Sequence[dict[int, int]],
+) -> Optional[list[list[int]]]:
+    """Exponents x_ij of generators with orders prod q**shapes[i][q], each
+    living in its block's components, or None when they came out dependent.
+
+    At each prime q of a block, column i holds the logs of g_i's q-part
+    in each component j, whose q-part is cyclic of order q**f_j: each
+    entry is drawn at random with order at most q**b_i. The columns span
+    a group of order q**(sum of b_i) exactly when they are independent
+    with orders q**b_i; the span is read from their Smith valuations, so
+    no log is taken.
+    """
+    sizes = [math.prod(q**f for q, f in lam.items()) for lam in lams]
+    xs = [[0] * len(lams) for _ in shapes]
+    for members, comps in blocks:
+        for q in sorted({q for i in members for q in shapes[i]}):
+            held = [i for i in members if q in shapes[i]]
+            fs = [lams[j].get(q, 0) for j in comps]
+            e = max(fs)
+            for _ in range(COLUMN_DRAWS):
+                cols = {
+                    i: [
+                        q ** max(f - shapes[i][q], 0) * rng.randrange(q ** min(f, shapes[i][q])) if f else 0
+                        for f in fs
+                    ]
+                    for i in held
+                }
+                # Z/q**f embeds in Z/q**e by multiplication with q**(e - f).
+                rows = [[cols[i][k] * q ** (e - f) for i in held] for k, f in enumerate(fs) if f]
+                if subgroup._span_valuation(rows, q, e) == sum(shapes[i][q] for i in held):
                     break
-                grown.append(d)
-                d *= p
-        out = grown
-    return sorted(out)
+            else:
+                return None
+            for i in held:
+                for j, f, y in zip(comps, fs, cols[i]):
+                    if f:
+                        # c_j**(lambda_j / q**f) generates the q-part at j.
+                        xs[i][j] += sizes[j] // q**f * y
+    return xs
 
 
 # Why generate rejected a draw, in the order the tests run.
-REJECTION_STAGES = (
-    "modulus",
-    "generator",
-    "order_product",
-    "collapse",
-    "peel",
-    "independence",
-)
+REJECTION_STAGES = ("modulus", "orders", "columns", "collapse", "peel")
 
 
 def generate(
@@ -367,22 +505,26 @@ def generate(
     require_peel_resistant: Optional[bool] = None,
     max_order_product: Optional[int] = None,
 ) -> Instance:
-    """Rejection-sample a valid instance, deterministically in ``seed``.
+    """Construct a valid instance, deterministically in ``seed``.
 
     Constraints may pin the hardness checks either way (True demands the
     check passes, False demands it fails) and bound the product of the
-    generator orders. Each attempt runs its tests from the cheapest up and
-    stops at the first that rejects it (REJECTION_STAGES): sample a
-    modulus, draw t generators of usable order, bound their order product,
-    draw the witness, then the collapse and peel constraints, and last the
-    independence check. A witness the collapse or peel constraint rejects
-    is redrawn, up to WITNESS_DRAWS times, on the same generators; a draft
-    that no witness can make peel-resistant gets one draw. The witness is
-    the attempt's last random draw, so the order of the tests after it
-    does not change which instance a seed gives, and an attempt with
-    neither constraint draws one witness. Raises ValueError for a
-    constraint no instance can meet, and GenerationFailed, carrying the
-    rejected draws by stage, after DEFAULT_MAX_ATTEMPTS attempts.
+    generator orders. Each attempt samples a modulus N and builds t
+    independent generators on it whose order product is within the bound
+    (see _construct). Their shape is built for the constraints: when
+    collapse resistance is required, two orders share a prime; when peel
+    resistance is required, every prime of N has two generators that are
+    not 1 mod it, and when it is refused, some prime has at most one, so
+    omitting that one leaves 1 mod it. Then the witness is drawn and the
+    collapse and peel constraints tested; a witness they reject is
+    redrawn, up to WITNESS_DRAWS times. The witness is the attempt's last
+    random draw, and an attempt with neither constraint draws one. The
+    accepted draft goes through make_instance, which recomputes the
+    orders, which must equal the constructed ones, and checks
+    independence, raising IndependenceViolation rather than drawing
+    again. Raises ValueError for a constraint no instance can meet, and
+    GenerationFailed, carrying the rejected draws by stage
+    (REJECTION_STAGES), after DEFAULT_MAX_ATTEMPTS attempts.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -404,7 +546,6 @@ def generate(
         )
     rng = random.Random(seed)
     bound = 1 << 17 if max_order_product is None else max_order_product
-    cap_each = max(3, int(round(bound ** (1.0 / t))) * 2)
     provenance = {
         "seed": seed,
         "bits": bits,
@@ -423,54 +564,18 @@ def generate(
 
     for _ in range(DEFAULT_MAX_ATTEMPTS):
         modulus = _sample_modulus(rng, bits, parts=min(max(t, 2), 3))
-        if modulus is None:
-            rejections["modulus"] += 1
-            continue
-        n = modulus.n
-        gens: list[int] = []
-        orders: list[int] = []
-        ok = True
-        for _ in range(t):
-            g = None
-            for _ in range(40):
-                u = rng.randrange(2, n - 1)
-                if math.gcd(u, n) != 1:
-                    continue
-                factors = order_factors(u, modulus)
-                r = math.prod(q**b for q, b in factors)
-                # the divisors in [2, cap_each]: all but the leading 1
-                opts = _divisors(factors, cap_each)[1:]
-                if not opts:
-                    continue
-                # two draws, keep the larger: biases toward roomier boxes
-                d = max(rng.choice(opts), rng.choice(opts))
-                cand = pow(u, r // d, n)
-                if cand != 1 and cand not in gens:
-                    g = cand
-                    gens.append(g)
-                    orders.append(d)
-                    break
-            if g is None:
-                ok = False
-                break
-        if not ok:
-            rejections["generator"] += 1
-            continue
-        if math.prod(orders) > bound:
-            rejections["order_product"] += 1
-            continue
-        # At a prime of N where at most one generator is not 1, omitting
-        # that one leaves 1, so no witness makes the draft peel-resistant.
-        hopeless = require_peel_resistant and any(
-            sum(g % p != 1 for g in gens) < 2 for p in modulus.factorization.primes
+        built = (
+            "modulus"
+            if modulus is None
+            else _construct(rng, modulus, t, bound, require_collapse_resistant, require_peel_resistant)
         )
-        for _ in range(1 if hopeless else WITNESS_DRAWS):
-            # Each u**(r/d) has order exactly d, so the draft takes the drawn
-            # orders; make_instance recomputes them for the accepted one only.
+        if isinstance(built, str):
+            rejections[built] += 1
+            continue
+        gens, orders = built
+        for _ in range(WITNESS_DRAWS):
             witness = tuple(rng.randrange(r) for r in orders)
-            draft = Instance(
-                modulus, tuple(gens), tuple(orders), _eval_product(gens, witness, n), witness
-            )
+            draft = Instance(modulus, gens, orders, _eval_product(gens, witness, modulus.n), witness)
             if (
                 require_collapse_resistant is not None
                 and check_collapse_resistance(draft).resistant != require_collapse_resistant
@@ -485,21 +590,12 @@ def generate(
                 break
         else:
             continue
-        if not subgroup.independence_check(draft.generators, modulus).independent:
-            rejections["independence"] += 1
-            continue
-        inst = make_instance(
-            modulus,
-            draft.generators,
-            witness=draft.witness,
-            check_independence=False,
-            provenance=provenance,
-        )
-        if inst.orders != draft.orders:
+        inst = make_instance(modulus, gens, witness=witness, provenance=provenance)
+        if inst.orders != orders:
             raise AssertionError(
-                f"drawn orders {draft.orders} differ from the recomputed {inst.orders}"
+                f"constructed orders {orders} differ from the recomputed {inst.orders}"
             )
-        return replace(inst, independence_verified=True)
+        return inst
     raise GenerationFailed(rejections, DEFAULT_MAX_ATTEMPTS, f"bits={bits} t={t}")
 
 

@@ -102,9 +102,16 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
     a prime above MAX_SHARED_PRIME that divides two or more orders.
     """
     mod = as_modulus(modulus)
-    n = mod.n
-    gens = [g % n for g in generators]
-    factored = [dict(order_factors(g, mod)) for g in gens]
+    gens = [g % mod.n for g in generators]
+    return _independence(gens, mod, [order_factors(g, mod) for g in gens])
+
+
+def _independence(
+    gens: Sequence[int], mod: Modulus, orders: Sequence[Sequence[tuple[int, int]]]
+) -> IndependenceResult:
+    """independence_check on generators reduced mod N whose orders, as
+    order_factors gives them, the caller has already computed."""
+    factored = [dict(f) for f in orders]
     # Primes where H_q is smaller than the direct sum of the generators'
     # q-parts. At every other prime g_i's index has its full q-part.
     deficient = []
@@ -133,4 +140,4 @@ def independence_check(generators: Sequence[int], modulus) -> IndependenceResult
                 v = v // q ** f[q] * q ** (span - without)
         if v < r:
             return IndependenceResult(False, (i, v))
-    raise AssertionError(f"a deficient prime of {gens} mod {n}, yet every generator has full index")
+    raise AssertionError(f"a deficient prime of {gens} mod {mod.n}, yet every generator has full index")

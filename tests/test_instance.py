@@ -24,7 +24,6 @@ from mdlp.errors import (
 from mdlp.instance import (
     REFERENCE_TABLE_N35,
     REJECTION_STAGES,
-    _divisors,
     dumps,
     VERDICT_BOTH,
     VERDICT_COLLAPSE,
@@ -209,6 +208,39 @@ class TestPeelResistance:
                     omitted = omitted * pow(g, k, p) % p
             assert omitted == 1
 
+    def test_matches_the_definition_on_random_drafts(self):
+        # Every omit-one product written out, t - 1 powers each, against the
+        # check's prefix and suffix products: the same verdict and the same
+        # first violation, omitted index first, then the primes of N.
+        def first_violation(gens, k, primes):
+            for i in range(len(gens)):
+                for p in primes:
+                    omitted = 1
+                    for l, (g, e) in enumerate(zip(gens, k)):
+                        if l != i:
+                            omitted = omitted * pow(g, e, p) % p
+                    if omitted == 1:
+                        return (i, p)
+            return None
+
+        rng = random.Random(23)
+        verdicts = []
+        for n in (35, 143, 1155, 10403, 85085, 1022117, 3 * 1022117, 1009 * 1013 * 1019):
+            primes = factorize(n).primes
+            for _ in range(60):
+                t = rng.randint(1, 4)
+                units = (u for u in iter(lambda: rng.randrange(2, n), None) if math.gcd(u, n) == 1)
+                gens = list(itertools.islice(units, t))
+                orders = make_instance(n, gens, beta=1, check_independence=False).orders
+                # Zero exponents now and then, so that violations are common.
+                k = [rng.randrange(r) if rng.random() < 0.9 else 0 for r in orders]
+                draft = make_instance(n, gens, witness=k, check_independence=False)
+                chk = check_peel_resistance(draft)
+                expected = first_violation(gens, k, primes)
+                assert (chk.resistant, chk.violation) == (expected is None, expected)
+                verdicts.append(chk.resistant)
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+
 
 class TestHardnessReport:
     def test_worked_example_verdict(self, worked_example):
@@ -349,32 +381,43 @@ class TestGenerate:
 
     def test_rejections_counted_by_stage(self):
         # Satisfiable (the constrained pin below generates this shape with
-        # the default budget), but not within ten attempts. Every rejected
-        # witness redraw counts, so the rejections outnumber the attempts.
-        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 10), \
+        # the default budget), but this seed's first three drafts each run
+        # out of witness draws. Every rejected witness draw counts, so the
+        # rejections outnumber the attempts.
+        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 3), \
                 pytest.raises(GenerationFailed) as exc:
-            generate(8, bits=24, t=4, require_collapse_resistant=True,
+            generate(16, bits=24, t=4, require_collapse_resistant=True,
                      require_peel_resistant=True, max_order_product=1 << 16)
         rejections = exc.value.rejections
         assert list(rejections) == list(REJECTION_STAGES)
-        assert exc.value.attempts == 10
+        assert exc.value.attempts == 3
         rejected = sum(rejections.values())
-        assert rejected > exc.value.attempts
-        assert f"after 10 attempts ({rejected} rejected draws)" in str(exc.value)
+        assert rejected == rejections["collapse"] + rejections["peel"] == 3 * instance.WITNESS_DRAWS
+        assert f"after 3 attempts ({rejected} rejected draws)" in str(exc.value)
         for stage, count in rejections.items():
             assert f"{stage} {count}" in str(exc.value)
 
+    def test_unbuildable_shape_rejected_by_stage(self):
+        # Two generators of order 2 that are not 1 mod any prime of N are
+        # both -1 mod N, so no N takes them: every attempt ends at the
+        # column draws, one rejection each.
+        with mock.patch.object(instance, "DEFAULT_MAX_ATTEMPTS", 5), \
+                pytest.raises(GenerationFailed) as exc:
+            generate(1, bits=24, t=2, require_peel_resistant=True, max_order_product=4)
+        assert exc.value.rejections == dict(modulus=0, orders=0, columns=5, collapse=0, peel=0)
+
     def test_peel_resistant_after_witness_redraws(self):
-        # With one witness per draft this seed runs out of attempts, 2,421
-        # of its 4,000 drafts rejected at peel.
+        # Both constraints at t = 4, where the peel check rejects many
+        # witnesses: the redraws must still find one.
         inst = generate(3017, bits=32, t=4, require_collapse_resistant=True,
                         require_peel_resistant=True, max_order_product=1 << 16)
         assert hardness_report(inst).verdict == VERDICT_RESISTS
 
     def test_no_witness_peels_where_one_generator_lives(self):
         # At a prime p of N where at most one generator is not 1 mod p,
-        # omitting that one leaves the product 1 mod p for every witness;
-        # generate gives such a draft a single witness draw.
+        # omitting that one leaves the product 1 mod p for every witness.
+        # generate builds this shape when peel resistance is refused, and
+        # two live generators at every prime when it is required.
         rng = random.Random(22)
         hopeless = 0
         for n in (15, 21, 35, 39, 45, 63, 77, 91, 105, 143, 165):
@@ -405,17 +448,10 @@ class TestGenerate:
                 generate(3, bits=24, t=2, max_order_product=bound)
         assert generate(3, bits=24, t=2, max_order_product=4).orders == (2, 2)
 
-    def test_divisors_against_brute_force(self):
-        for r in range(1, 3001):
-            factors = tuple(factorize(r)) if r > 1 else ()
-            brute = [d for d in range(1, r + 1) if r % d == 0]
-            for cap in (1, 2, 7, r, r + 1):
-                assert _divisors(factors, cap) == [d for d in brute if d <= cap]
-
-    def test_only_the_accepted_draft_is_rebuilt(self):
-        # Rejected drafts keep the orders the draw gave them; make_instance,
-        # which recomputes every order, runs once, on the accepted draft.
-        order = mock.Mock(wraps=instance.multiplicative_order)
+    def test_each_order_is_computed_once_per_make_instance(self):
+        # make_instance factors each generator's order once and hands it
+        # to the independence check, in generate's final check and in loads.
+        order = mock.Mock(wraps=instance.order_factors)
         real_make = instance.make_instance
         orders_per_make = []
 
@@ -425,14 +461,32 @@ class TestGenerate:
             orders_per_make.append(order.call_count - before)
             return built
 
-        shape = dict(seed=3, bits=24, t=4, max_order_product=1 << 16)
-        with mock.patch.object(instance, "multiplicative_order", order), \
+        shape = dict(seed=3, bits=24, t=4, require_collapse_resistant=True,
+                     max_order_product=1 << 16)
+        with mock.patch.object(instance, "order_factors", order), \
+                mock.patch.object(subgroup, "order_factors", order), \
                 mock.patch.object(instance, "make_instance", side_effect=make) as made:
             inst = generate(**shape)
-        assert made.call_count == 1
-        assert orders_per_make == [shape["t"]]
-        assert inst.independence_verified
-        assert dumps(inst) == dumps(generate(**shape))
+            assert made.call_count == 1
+            loaded = from_json_dict(to_json_dict(inst))
+        assert orders_per_make == [shape["t"], shape["t"]]
+        assert inst.independence_verified and loaded == inst
+
+    def test_dependent_construction_raises(self):
+        # A constructed draft is checked, never silently redrawn: dependent
+        # generators mean the construction is wrong.
+        real = instance._construct
+
+        def doubled(*args):
+            built = real(*args)
+            if isinstance(built, str):
+                return built
+            (g, *_), (r, *_) = built
+            return (g, g), (r, r)
+
+        with mock.patch.object(instance, "_construct", side_effect=doubled), \
+                pytest.raises(IndependenceViolation):
+            generate(3, bits=24, t=2)
 
     def test_drawn_orders_are_checked_against_recomputed_ones(self):
         real_make = instance.make_instance
@@ -446,9 +500,9 @@ class TestGenerate:
             generate(3, bits=24, t=2)
 
     # sha256 over dumps(generate(**shape)) for each shape in turn. Any change
-    # to the rejection sampling (which draws it consumes, which candidates it
-    # rejects) changes the documents; the benchmark's exact counts rest on
-    # them staying the same.
+    # to the construction (which draws it consumes, which drafts it rejects)
+    # changes the documents; the benchmark's exact counts rest on them
+    # staying the same.
     PINNED_SHAPES = (
         dict(seed=0, bits=16, t=1),
         dict(seed=1, bits=16, t=2),
@@ -457,7 +511,7 @@ class TestGenerate:
         dict(seed=5, bits=40, t=2, max_order_product=1 << 20),
         dict(seed=7, bits=40, t=4, max_order_product=1 << 16),
     )
-    PINNED_DIGEST = "9033c1f82a20f9879d565413f4db86d8961a1e15d4058a58443c3e5463d437d1"
+    PINNED_DIGEST = "b9268621e619ac29a627fc0e4d94aad517b0c14842c937afe8741c88205b66ad"
 
     def test_documents_are_pinned(self):
         h = hashlib.sha256()
@@ -465,8 +519,8 @@ class TestGenerate:
             h.update(dumps(generate(**shape)).encode())
         assert h.hexdigest() == self.PINNED_DIGEST
 
-    # Shapes that pin a hardness constraint: the cells where the order of
-    # the rejection tests and the witness redraws matter. The first two are
+    # Shapes that pin a hardness constraint: the cells where the shape built
+    # for the constraints and the witness redraws matter. The first two are
     # the benchmark design grid's collapse-vulnerable cell and its 24-bit
     # t = 4 collapse- and peel-resistant cell.
     CONSTRAINED_SHAPES = (
@@ -482,7 +536,7 @@ class TestGenerate:
         dict(seed=4, bits=32, t=2, require_collapse_resistant=True),
         dict(seed=6, bits=40, t=3, require_peel_resistant=True, max_order_product=1 << 18),
     )
-    CONSTRAINED_DIGEST = "27653237ce85ca6a9e17e7a66f2a0b5af533c944e1f44bd21de6da8511fbe071"
+    CONSTRAINED_DIGEST = "13e26df5a79431a8fe25c2ff1cce0b976b6980dac7b2e17229107489aa6c5e6f"
 
     def test_constrained_documents_are_pinned(self):
         h = hashlib.sha256()
