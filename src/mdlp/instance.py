@@ -378,19 +378,15 @@ def _construct(
     orders come first, as prime factors of lambda(N) dealt in random
     order, each to the generator of least order so far that can still
     take it, while the order product stays within the bound. Then the
-    exponents, prime by prime (_draw_exponents). A generator lives in a
-    block of components: all of them, except that when peel resistance
-    is refused, the last generator lives at one prime p of N alone and
-    the others are 1 mod p, so omitting it leaves 1 mod p.
+    exponents, prime by prime (_draw_exponents), drawn again until the
+    generators that are not 1 mod each prime of N make the peel shape:
+    two or more at every prime when peel resistance is required, at most
+    one at some prime when it is refused, so that omitting that one
+    leaves 1 mod it.
     """
     basis = _unit_basis(modulus)
     lams = [dict(lam) for _, _, lam, _, _ in basis]
     primes = sorted({q for lam in lams for q in lam})
-    everywhere = list(range(len(basis)))
-    blocks = [(range(t), everywhere)]  # (generators, the components they live in)
-    if require_peel_resistant is False and t > 1:
-        j0 = rng.randrange(len(basis))
-        blocks = [(range(t - 1), [j for j in everywhere if j != j0]), ([t - 1], [j0])]
     shapes: list[dict[int, int]] = [{} for _ in range(t)]  # order i is prod q**shapes[i][q]
     orders = [1] * t
 
@@ -401,12 +397,9 @@ def _construct(
         groups of orders q**f iff, both sorted descending, each x is at
         most its f (0 past the last).
         """
-        for members, comps in blocks:
-            fs = sorted((lams[j].get(q, 0) for j in comps), reverse=True) + [0] * t
-            xs = sorted((shapes[k].get(q, 0) + takers.count(k) for k in members), reverse=True)
-            if any(x > f for x, f in zip(xs, fs)):
-                return False
-        return True
+        fs = sorted((lam.get(q, 0) for lam in lams), reverse=True) + [0] * t
+        xs = sorted((s.get(q, 0) + takers.count(i) for i, s in enumerate(shapes)), reverse=True)
+        return all(x <= f for x, f in zip(xs, fs))
 
     def take(q: int, i: int) -> None:
         shapes[i][q] = shapes[i].get(q, 0) + 1
@@ -431,7 +424,7 @@ def _construct(
     if 1 in orders:
         return "orders"
     for _ in range(COLUMN_DRAWS):
-        xs = _draw_exponents(rng, lams, blocks, shapes)
+        xs = _draw_exponents(rng, lams, shapes)
         if xs is None:
             continue
         # g_i is 1 mod p_j iff p_j - 1 divides x_ij: c_j is primitive mod p_j.
@@ -450,13 +443,12 @@ def _construct(
 def _draw_exponents(
     rng: random.Random,
     lams: Sequence[dict[int, int]],
-    blocks: Sequence[tuple[Sequence[int], Sequence[int]]],
     shapes: Sequence[dict[int, int]],
 ) -> Optional[list[list[int]]]:
-    """Exponents x_ij of generators with orders prod q**shapes[i][q], each
-    living in its block's components, or None when they came out dependent.
+    """Exponents x_ij of generators with orders prod q**shapes[i][q], or
+    None when they came out dependent.
 
-    At each prime q of a block, column i holds the logs of g_i's q-part
+    At each prime q of the orders, column i holds the logs of g_i's q-part
     in each component j, whose q-part is cyclic of order q**f_j: each
     entry is drawn at random with order at most q**b_i. The columns span
     a group of order q**(sum of b_i) exactly when they are independent
@@ -465,30 +457,29 @@ def _draw_exponents(
     """
     sizes = [math.prod(q**f for q, f in lam.items()) for lam in lams]
     xs = [[0] * len(lams) for _ in shapes]
-    for members, comps in blocks:
-        for q in sorted({q for i in members for q in shapes[i]}):
-            held = [i for i in members if q in shapes[i]]
-            fs = [lams[j].get(q, 0) for j in comps]
-            e = max(fs)
-            for _ in range(COLUMN_DRAWS):
-                cols = {
-                    i: [
-                        q ** max(f - shapes[i][q], 0) * rng.randrange(q ** min(f, shapes[i][q])) if f else 0
-                        for f in fs
-                    ]
-                    for i in held
-                }
-                # Z/q**f embeds in Z/q**e by multiplication with q**(e - f).
-                rows = [[cols[i][k] * q ** (e - f) for i in held] for k, f in enumerate(fs) if f]
-                if subgroup._span_valuation(rows, q, e) == sum(shapes[i][q] for i in held):
-                    break
-            else:
-                return None
-            for i in held:
-                for j, f, y in zip(comps, fs, cols[i]):
-                    if f:
-                        # c_j**(lambda_j / q**f) generates the q-part at j.
-                        xs[i][j] += sizes[j] // q**f * y
+    for q in sorted({q for s in shapes for q in s}):
+        held = [i for i, s in enumerate(shapes) if q in s]
+        fs = [lam.get(q, 0) for lam in lams]
+        e = max(fs)
+        for _ in range(COLUMN_DRAWS):
+            cols = {
+                i: [
+                    q ** max(f - shapes[i][q], 0) * rng.randrange(q ** min(f, shapes[i][q])) if f else 0
+                    for f in fs
+                ]
+                for i in held
+            }
+            # Z/q**f embeds in Z/q**e by multiplication with q**(e - f).
+            rows = [[cols[i][j] * q ** (e - f) for i in held] for j, f in enumerate(fs) if f]
+            if subgroup._span_valuation(rows, q, e) == sum(shapes[i][q] for i in held):
+                break
+        else:
+            return None
+        for i in held:
+            for j, (f, y) in enumerate(zip(fs, cols[i])):
+                if f:
+                    # c_j**(lambda_j / q**f) generates the q-part at j.
+                    xs[i][j] += sizes[j] // q**f * y
     return xs
 
 

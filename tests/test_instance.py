@@ -536,7 +536,7 @@ class TestGenerate:
         dict(seed=4, bits=32, t=2, require_collapse_resistant=True),
         dict(seed=6, bits=40, t=3, require_peel_resistant=True, max_order_product=1 << 18),
     )
-    CONSTRAINED_DIGEST = "13e26df5a79431a8fe25c2ff1cce0b976b6980dac7b2e17229107489aa6c5e6f"
+    CONSTRAINED_DIGEST = "3ebadeb43cfc1003610c863aeb9fb4dfb5243642d9b9587d66e4418c6037e53c"
 
     def test_constrained_documents_are_pinned(self):
         h = hashlib.sha256()
