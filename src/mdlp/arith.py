@@ -7,10 +7,10 @@ component, factored, are derived once, and multiplicative orders,
 computed factored in those components. Two kernels are
 shared: the box kernel, whose table-and-walk split (Shanks) runs the
 exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
-the baby-step giant-step of every prime-power log; and the echelon kernel
-mod q**e, with least-valuation pivots, of the independence check and
-index calculus. Apart from the echelon kernel, which works in place,
-everything here is a pure function over immutable values.
+the baby-step giant-step of every prime-power log; and the forward-only
+echelon kernel mod q**e, with least-valuation pivots, of the independence
+check and of index calculus, which back-substitutes. The echelon kernel
+works in place; everything else is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -415,9 +415,9 @@ def _echelon(rows: list[list[int]], ncols: int, q: int, e: int) -> list[tuple[in
     Step i takes an entry of least q-valuation v in rows i onward and the
     first ``ncols`` columns, searching no further than the first row that
     holds a unit. Its row moves to row i, scaled by a unit so the entry is
-    q**v, and clears the column in every later row, which q**v divides,
-    and in every row when v = 0. Returns (column, v) per pivot, the k-th
-    in row k. v never falls from one step to the next, so the v are the
+    q**v, and clears the column in every later row, which q**v divides;
+    earlier rows keep theirs. Returns (column, v) per pivot, the k-th in
+    row k. v never falls from one step to the next, so the v are the
     Smith valuations mod q**e. Columns past ``ncols`` are carried along.
     """
     qe = q**e
@@ -436,8 +436,8 @@ def _echelon(rows: list[list[int]], ncols: int, q: int, e: int) -> list[tuple[in
         qv = q**v
         inv = pow(rows[i][col] // qv, -1, qe)
         pivot = rows[i] = [x * inv % qe for x in rows[i]]
-        for r in range(0 if v == 0 else i + 1, len(rows)):
-            if r != i and rows[r][col]:
+        for r in range(i + 1, len(rows)):
+            if rows[r][col]:
                 f = rows[r][col] // qv
                 rows[r] = [(x - f * y) % qe for x, y in zip(rows[r], pivot)]
         pivots.append((col, v))

@@ -7,15 +7,15 @@ The classic pipeline over F_p with base alpha of order n:
 1. pick a factor base S = all primes <= B;
 2. for random k, keep alpha**k mod p whenever it factors entirely over S,
    which yields the linear relation k = sum a_i * log_alpha p_i (mod n).
-   One trial costs at most ceil(bits(n) / w) - 1 products mod p, read off
-   a fixed-base table of alpha's powers with one row per w-bit window of
-   n (w = _WINDOW = 8), and a few gcds with the product of S that divide
-   out every prime of S; only a value left with cofactor 1 is
-   trial-divided over S for its exponent vector;
-3. collect |S| + slack verified relations and solve for the base logs,
-   eliminating per prime-power factor of n and recombining by CRT;
-4. hunt a shift delta with beta * alpha**delta smooth over S, each trial
-   one more product than a step-2 trial, from the same table and test;
+   One trial draws k as randrange does, reads alpha**k off a fixed-base
+   table with one row per w-bit window of n (w = _WINDOW = 8), at most
+   ceil(bits(n) / w) - 1 products mod p, and takes one remainder: a value
+   below p is smooth iff it divides the product over S of each prime's
+   largest power below p. Only a smooth value is trial-divided over S;
+3. collect |S| + slack verified relations; solve for the base logs mod
+   each prime power of n by elimination and back-substitution, then CRT;
+4. hunt a shift delta with beta * alpha**delta smooth over S by the same
+   trial loop, beta folded into the table's first row: no extra product;
 5. read off log_alpha beta = -delta + sum b_i * log_alpha p_i (mod n).
 
 alpha's order n, factored by order_factors, and the table are built once
@@ -73,17 +73,6 @@ def try_smooth(x: int, fb: tuple[int, ...]) -> tuple[list[int], int]:
     return exps, rest
 
 
-def _rough_part(x: int, fb_product: int) -> int:
-    """x with every prime of the factor base divided out: the cofactor
-    try_smooth returns, found by gcds with the product of the factor base
-    instead of one trial division per prime."""
-    g = math.gcd(x, fb_product)
-    while g > 1:
-        x //= g
-        g = math.gcd(x, g)
-    return x
-
-
 # Bits of the exponent read per row of a fixed-base power table.
 _WINDOW = 8
 _DIGIT = (1 << _WINDOW) - 1
@@ -98,9 +87,9 @@ def _base_record(p: int, alpha: int) -> tuple[int, tuple[tuple[int, int], ...], 
 
     F_p is built by Modulus.from_factorization, which tests p for primality
     (InvalidModulus, a ValueError, when it is composite) but never factors
-    it. The one record kept is shared by every retry round of
-    collect_relations and solve_base_logs and by the shift search of
-    dlp_via_index_calculus, which all ask for the same (p, alpha).
+    it: a log's one primality test. The one record kept is shared by every
+    retry round of collect_relations and solve_base_logs and by the shift
+    search of dlp_via_index_calculus, which all ask for the same (p, alpha).
     """
     factors = order_factors(alpha, Modulus.from_factorization(Factorization(((p, 1),))))
     n = math.prod(q**b for q, b in factors)
@@ -115,17 +104,34 @@ def _base_record(p: int, alpha: int) -> tuple[int, tuple[tuple[int, int], ...], 
     return n, factors, tuple(rows)
 
 
-def _table_power(rows: tuple[tuple[int, ...], ...], k: int, p: int) -> int:
-    """alpha**k mod p for 0 <= k < 2**(_WINDOW * len(rows)): one product mod
-    p per window of k above the lowest."""
-    x = rows[0][k & _DIGIT]
-    j = 1
-    k >>= _WINDOW
-    while k:
-        x = x * rows[j][k & _DIGIT] % p
-        j += 1
-        k >>= _WINDOW
-    return x
+def _smooth_draws(p: int, n: int, rows: tuple, factor: int, fb: tuple, seed, trials: int):
+    """Yield (k, x), x = factor * alpha**k mod p, for each of ``trials`` draws
+    k that makes x smooth over fb. k is drawn as Random(seed).randrange(n)
+    draws it: getrandbits(bits(n)), redrawn while >= n. x is read off the
+    table ``rows``, its first row times the unit ``factor``. As x < p, it is
+    smooth iff it divides the product over fb of each q's largest power < p.
+    """
+    powers = 1
+    for q in fb:
+        qe = q
+        while qe * q < p:
+            qe *= q
+        powers *= qe
+    first = [factor * r % p for r in rows[0]]
+    rest = rows[1:]
+    getrandbits = random.Random(seed).getrandbits
+    bits = n.bit_length()
+    for _ in range(trials):
+        k = getrandbits(bits)
+        while k >= n:
+            k = getrandbits(bits)
+        x = first[k & _DIGIT]
+        high = k >> _WINDOW
+        for row in rest:
+            x = x * row[high & _DIGIT] % p
+            high >>= _WINDOW
+        if not powers % x:
+            yield k, x
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,8 @@ def collect_relations(
             f"alpha={alpha} has order {n} mod {p}, so at most {n} distinct "
             f"relations exist; {want} are needed"
         )
-    rng = random.Random(seed)
-    fb_product = math.prod(fb)
     found: set[Relation] = set()
-    for _ in range(DEFAULT_RELATION_TRIALS):
-        k = rng.randrange(n)
-        x = _table_power(table, k, p)
-        if _rough_part(x, fb_product) != 1:
-            continue
+    for k, x in _smooth_draws(p, n, table, 1, fb, seed, DEFAULT_RELATION_TRIALS):
         exps, _ = try_smooth(x, fb)
         rel = Relation(k, tuple(exps))
         if not relation_holds(p, alpha, fb, rel):
@@ -203,7 +203,7 @@ def _solve_mod_prime_power(
 
     It is unique iff the echelon kernel gives every column a pivot of
     valuation 0 and every row past the pivots has a zero right-hand side;
-    x at each pivot column is then its pivot row's right-hand side.
+    x is then read off the pivot rows by back-substitution, last first.
     """
     qe = q**e
     aug = [[c % qe for c in coeffs] + [rhs % qe] for coeffs, rhs in rows]
@@ -215,7 +215,10 @@ def _solve_mod_prime_power(
     pivots = _echelon(aug, ncols, q, e)
     if [v for _, v in pivots] != [0] * ncols or any(row[ncols] for row in aug[ncols:]):
         raise RankDeficient(f"no unique solution mod {q}**{e}")
-    return [row[ncols] for _, row in sorted(zip(pivots, aug))]
+    x = [0] * ncols
+    for (col, _), row in zip(reversed(pivots), reversed(aug[:ncols])):
+        x[col] = (row[ncols] - sum(a * b for a, b in zip(row, x))) % qe
+    return x
 
 
 def solve_base_logs(mat: RelationMatrix) -> list[int]:
@@ -252,12 +255,11 @@ def dlp_via_index_calculus(
 ) -> int:
     """log_alpha beta mod p by the five-step pipeline above.
 
-    Raises ValueError for a composite p or non-unit alpha or beta, and
-    when beta is outside <alpha>, before any relation is collected. The returned exponent is verified by powering before it
-    is returned. Raises BudgetExceeded when smoothness retries run out.
+    Raises ValueError, before any trial, for a non-unit alpha or beta, a
+    composite p (InvalidModulus, from the (p, alpha) record's one primality
+    test) and a beta outside <alpha>. The returned exponent is verified by
+    powering. Raises BudgetExceeded when smoothness retries run out.
     """
-    if not is_probable_prime(p):
-        raise ValueError(f"index calculus here works over prime fields; {p} is composite")
     if math.gcd(alpha, p) != 1 or math.gcd(beta, p) != 1:
         raise ValueError("alpha and beta must be units mod p")
     alpha %= p
@@ -283,14 +285,8 @@ def dlp_via_index_calculus(
             f"base logs stayed rank-deficient after retries (p={p}, B={bound})"
         )
 
-    rng = random.Random(f"shift:{seed}")
-    fb_product = math.prod(fb)
-    for _ in range(DEFAULT_SHIFT_TRIALS):
-        delta = rng.randrange(n)
-        shifted = beta * _table_power(table, delta, p) % p
-        if _rough_part(shifted, fb_product) != 1:
-            continue
-        exps, _ = try_smooth(shifted, fb)
+    for delta, y in _smooth_draws(p, n, table, beta, fb, f"shift:{seed}", DEFAULT_SHIFT_TRIALS):
+        exps, _ = try_smooth(y, fb)
         x = (-delta + sum(b * l for b, l in zip(exps, logs))) % n
         if pow(alpha, x, p) == beta:
             return x

@@ -247,12 +247,15 @@ class TestIndexCalcCommands:
         assert doc["result"] == {"log": "10", "verified": True}
 
     def test_indexcalc_order_too_small_exits_three(self, capsys):
-        def no_trial(rows, k, p):
+        def no_trial(*args):
             raise AssertionError("smoothness trial run for an unreachable count")
 
-        with mock.patch.object(indexcalc, "_table_power", no_trial):
+        with mock.patch.object(indexcalc, "_smooth_draws", no_trial):
             code, doc = run_json(capsys, "indexcalc", "--p", "107", "--alpha", "106",
                                  "--beta", "106", "--bound", "7")
+            # The patched name is on the trial path of a log that runs one.
+            with pytest.raises(AssertionError, match="smoothness trial run"):
+                indexcalc.dlp_via_index_calculus(107, 2, 61, bound=7)
         assert code == 3
         assert "has order 2 mod 107" in doc["error"]
 

@@ -14,9 +14,8 @@ from mdlp.errors import BudgetExceeded, InvalidModulus, RankDeficient
 from mdlp.indexcalc import (
     _WINDOW,
     _base_record,
-    _rough_part,
+    _smooth_draws,
     _solve_mod_prime_power,
-    _table_power,
     Relation,
     RelationMatrix,
     build_factor_base,
@@ -75,14 +74,40 @@ class TestTrySmooth:
             try_smooth(0, build_factor_base(997, 10))
 
 
+def reference_draws(p, alpha, factor, fb, seed, trials):
+    """_smooth_draws as a plain loop: randrange, builtin pow and trial
+    division of every trial value."""
+    n = multiplicative_order(alpha, Modulus.from_int(p))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        k = rng.randrange(n)
+        x = factor * pow(alpha, k, p) % p
+        if try_smooth(x, fb)[1] == 1:
+            out.append((k, x))
+    return out
+
+
 class TestRoughPart:
+    # The trial loop's smoothness test on chosen values: alpha = 1 has
+    # order 1, so its one draw is k = 0 and its value is the factor itself.
     @pytest.mark.parametrize("p, bound", [(107, 7), (1000003, 200), (1073741827, 100)])
     def test_cofactor_matches_trial_division(self, p, bound):
         fb = build_factor_base(p, bound)
+        n, _, rows = _base_record(p, 1)
+        assert n == 1
+        # The largest powers below p of 2, 3 and the largest prime of fb,
+        # products of 2 and 3 near p, and twice the primes just above the
+        # bound.
+        edges = [1, p - 1, 2 ** ((p - 1).bit_length() - 1), 3 ** int(math.log(p - 1, 3))]
+        edges += [2**a * 3**b for a in range(31) for b in range(20) if 2**a * 3**b < p][-5:]
+        edges += [fb[-1] ** int(math.log(p - 1, fb[-1])), 2 * fb[-1], math.prod(fb[:4])]
+        edges += [q * 2 for q in primes_up_to(2 * bound) if bound < q < p // 2][:3]
         rng = random.Random(p)
-        values = [1, 2**30, 3**19, 2**30 * 3**19] + [rng.randrange(1, p) for _ in range(500)]
+        values = [x for x in edges if 1 <= x < p] + [rng.randrange(1, p) for _ in range(500)]
         for x in values:
-            assert _rough_part(x, math.prod(fb)) == try_smooth(x, fb)[1], x
+            smooth = try_smooth(x, fb)[1] == 1
+            assert list(_smooth_draws(p, 1, rows, x, fb, 0, 1)) == ([(0, x)] if smooth else []), x
 
 
 class TestPowerTable:
@@ -98,12 +123,22 @@ class TestPowerTable:
         assert factors == (tuple(factorize(n)) if n > 1 else ())
         assert n.bit_length() == bits
         assert len(rows) == -(-bits // _WINDOW)
-        w = _WINDOW
-        rng = random.Random(p)
-        ks = {0, 1, 2**w - 1, 2**w, 2 ** (2 * w), n - 1, *(rng.randrange(n) for _ in range(50))}
-        for k in sorted(ks):
-            if k < 2 ** (w * len(rows)):
-                assert _table_power(rows, k, p) == pow(alpha, k, p), k
+        # Up to p = 1021 the factor base holds every prime below p, so
+        # every trial value is smooth and every draw is yielded.
+        fb = build_factor_base(p, min(p, 1100))
+        for factor, seed in ((1, 0), (pow(3, 5, p), "shift:0")):
+            got = list(_smooth_draws(p, n, rows, factor, fb, seed, 2000))
+            assert got == reference_draws(p, alpha, factor, fb, seed, 2000)
+            assert got and (p > 1100 or len(got) == 2000)
+            for k, x in got:
+                assert 0 <= k < n
+                assert x == factor * pow(alpha, k, p) % p
+                assert try_smooth(x, fb)[1] == 1
+
+
+def no_trial(*args):
+    """A stand-in for the trial loop that fails on its first call."""
+    raise AssertionError("smoothness trial run")
 
 
 def forced_retries(failures):
@@ -302,22 +337,45 @@ class TestDlpViaIndexCalculus:
     def test_order_below_relation_count_fails_before_any_trial(self):
         # ord(106) = 2 and ord(1) = 1 mod 107: fewer distinct relations
         # exist than the 4 + 10 the first round needs.
-        def no_trial(rows, k, p):
-            raise AssertionError("smoothness trial run for an unreachable count")
-
-        with mock.patch.object(indexcalc, "_table_power", no_trial):
+        with mock.patch.object(indexcalc, "_smooth_draws", no_trial):
             for alpha, order in ((106, 2), (1, 1)):
                 with pytest.raises(BudgetExceeded, match=f"has order {order} mod 107"):
                     dlp_via_index_calculus(107, alpha, alpha, bound=7)
+            # The patched name is on the trial path of a log that runs one.
+            with pytest.raises(AssertionError, match="smoothness trial run"):
+                dlp_via_index_calculus(107, 2, 61, bound=7)
 
     def test_beta_outside_group_fails_before_any_trial(self):
         # ord(2) = 504 mod 1009, so <2> is the squares, and 11 is not one.
-        def no_trial(rows, k, p):
-            raise AssertionError("smoothness trial run for a beta outside <alpha>")
-
-        with mock.patch.object(indexcalc, "_table_power", no_trial):
+        with mock.patch.object(indexcalc, "_smooth_draws", no_trial):
             with pytest.raises(ValueError, match="beta=11 is outside the group generated by"):
                 dlp_via_index_calculus(1009, 2, 11, bound=7)
+            with pytest.raises(AssertionError, match="smoothness trial run"):
+                dlp_via_index_calculus(107, 2, 61, bound=7)
+
+    def test_one_primality_test_per_log(self):
+        real = arith.is_probable_prime
+        tested = []
+
+        def counting(n):
+            tested.append(n)
+            return real(n)
+
+        with mock.patch.object(arith, "is_probable_prime", counting), \
+                mock.patch.object(indexcalc, "is_probable_prime", counting):
+            for p, alpha, beta, bound in ((107, 2, 61, 7), (1048583, 5, 12345, 50)):
+                _base_record.cache_clear()
+                tested.clear()
+                x = dlp_via_index_calculus(p, alpha, beta, bound=bound)
+                assert pow(alpha, x, p) == beta
+                assert tested.count(p) == 1
+            # A composite p still fails before any trial, on its one test.
+            _base_record.cache_clear()
+            tested.clear()
+            with mock.patch.object(indexcalc, "_smooth_draws", no_trial), \
+                    pytest.raises(ValueError, match="listed factor 105 is not prime"):
+                dlp_via_index_calculus(105, 2, 8, bound=7)
+            assert tested.count(105) == 1
 
     def test_deterministic(self):
         a = dlp_via_index_calculus(10007, 5, 1234, bound=30, seed=4)
@@ -424,6 +482,9 @@ def systems(draw):
 class TestRowReduction:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(systems())
+    # The unique solution (5, 7, 2) mod 3**2, read back across pivots in
+    # columns 1, 0 and 2 whose rows keep entries in later pivot columns.
+    @example(([([3, 1, 4], 30), ([1, 2, 3], 25), ([0, 3, 1], 23), ([2, 4, 6], 50)], 3, 3, 2))
     def test_solve_matches_brute_force(self, system):
         rows, ncols, q, e = system
         qe = q**e

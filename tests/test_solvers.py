@@ -360,7 +360,8 @@ def test_verification_survives_optimize_flag():
     # everything, every solver path has to raise AssertionError. The same
     # holds for the independence check's re-check of each Sylow log, and a
     # wrong position from the box kernel that every log runs on must end at
-    # a log's own re-check by powering.
+    # a log's own re-check by powering, and so must a wrong relation or base
+    # log in index calculus.
     code = """
 import sys
 import mdlp.solvers as s
@@ -415,6 +416,30 @@ except AssertionError:
     pass
 else:
     raise SystemExit("an unchecked Sylow log was used")
+
+# Index calculus re-checks every relation its trial loop yields, and
+# every base log the solver returns, by powering.
+import mdlp.indexcalc as ic
+from mdlp.errors import RankDeficient
+fb = ic.build_factor_base(107, 7)
+holds = ic.relation_holds
+ic.relation_holds = lambda p, alpha, fb, rel: False
+try:
+    ic.collect_relations(107, 2, fb)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("collect_relations kept an unchecked relation")
+ic.relation_holds = holds
+mat = ic.collect_relations(107, 2, fb)
+ic._solve_mod_prime_power = lambda rows, ncols, q, e: [0] * ncols
+try:
+    ic.solve_base_logs(mat)
+except RankDeficient as exc:
+    if "fails verification" not in str(exc):
+        raise
+else:
+    raise SystemExit("solve_base_logs returned an unchecked log")
 """
     src = str(Path(mdlp.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
