@@ -5,12 +5,14 @@ Pollard rho), primality testing, a modulus given by its factorization
 alone, from which n and the Carmichael function of each prime-power
 component, factored, are derived once, and multiplicative orders,
 computed factored in those components. Two kernels are
-shared: the box kernel, whose table-and-walk split (Shanks) runs the
-exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
-the baby-step giant-step of every prime-power log; and the forward-only
-echelon kernel mod q**e, with least-valuation pivots, of the independence
-check and of index calculus, which back-substitutes. The echelon kernel
-works in place; everything else is a pure function over immutable values.
+shared: the box kernel, which builds Shanks' table once and returns its
+walk, for the exhaustive, meet-in-the-middle and peel scans and, as its
+two-axis case, for the baby-step giant-step of the one Pohlig-Hellman
+digit loop, which takes every discrete log of the package on one table
+per prime of the base's order; and the forward-only echelon kernel mod
+q**e, with least-valuation pivots, of the independence check and of index
+calculus, which back-substitutes. The echelon kernel works in place;
+everything else is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidModulus, NotAUnit
 
@@ -318,7 +320,7 @@ def multiplicative_order(g: int, m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The box kernel, and logarithms in a subgroup of prime-power order
+# The box kernel, and Pohlig-Hellman logarithms on it
 
 
 def _power_row(g: int, ks: range, n: int, acc: int = 1) -> list[int]:
@@ -340,60 +342,79 @@ def _box_products(gens: Sequence[int], box: Sequence[range], n: int, acc: int = 
     return vals
 
 
-def _first_hit(
-    gens: Sequence[int], beta: int, box: Sequence[range], n: int, split: int
-) -> Optional[int]:
-    """Lexicographic position of the first tuple k of the box (one range
-    per unit in ``gens``, last axis fastest) with prod gens[i]**k_i = beta
-    mod n, or None. ``beta`` must already be reduced mod n.
+def _box_walker(
+    gens: Sequence[int], box: Sequence[range], n: int, split: int
+) -> Callable[[int], Optional[int]]:
+    """Shanks' split of the box (one range per unit in ``gens``, last axis
+    fastest): the table, built once, and a walk that takes any beta reduced
+    mod n to the lexicographic position of the first tuple k of the box
+    with prod gens[i]**k_i = beta mod n, or None.
 
-    Shanks' split: the table holds the trailing part of the box, the
-    products over ``box[split:]``. The walk goes from beta by inverse
-    powers over ``box[:split]`` in lexicographic order: it builds only the
-    prefixes of all those axes but the last, steps the last one
-    multiplication per position, and stops at the first hit.
+    The table holds the products over ``box[split:]``. The walk goes from
+    beta by inverse powers over ``box[:split]`` in lexicographic order: it
+    builds only the prefixes of all those axes but the last, steps the last
+    one multiplication per position, and stops at the first hit.
     """
     vals = _box_products(gens[split:], box[split:], n)
     table = set(vals)  # list.index finds a repeated value's first position
     if split == 0:
-        return vals.index(beta) if beta in table else None
+        return lambda beta: vals.index(beta) if beta in table else None
     invs = [pow(g, -1, n) for g in gens[:split]]
-    prefixes = _box_products(invs[:-1], box[: split - 1], n, beta)
     ks = box[split - 1]
     step = pow(invs[-1], ks.step, n)
     first = pow(invs[-1], ks.start, n)
-    for i, p in enumerate(prefixes):
-        q = p * first % n
-        for d in range(len(ks)):
-            if q in table:
-                return (i * len(ks) + d) * len(vals) + vals.index(q)
-            q = q * step % n
-    return None
+
+    def walk(beta: int) -> Optional[int]:
+        for i, p in enumerate(_box_products(invs[:-1], box[: split - 1], n, beta)):
+            q = p * first % n
+            for d in range(len(ks)):
+                if q in table:
+                    return (i * len(ks) + d) * len(vals) + vals.index(q)
+                q = q * step % n
+        return None
+
+    return walk
 
 
-def _prime_power_log(
-    base: int, target: int, modulus: int, q: int, e: int, ops: list[int]
-) -> Optional[int]:
-    """log of target to ``base``, of order q**e, mod ``modulus``, or None.
+def _pohlig_hellman(
+    base: int, targets: Sequence[int], n: int, factors: Sequence[tuple[int, int]], ops: list[int]
+) -> list[Optional[int]]:
+    """The log of each target to ``base`` mod n, in [0, r), or None; r is
+    base's order, given factored as (q, e) pairs in ``factors``.
 
-    Pohlig-Hellman digit by digit. Digit d, the log of h to gamma of order
-    q, is found by baby-step giant-step: the first hit of the box
-    (range(m), range(m)) over (gamma**m, gamma), at position i*m + j = d.
-    ``ops`` gains 2 per digit plus m baby steps and the giant steps walked.
+    Pohlig-Hellman: per q**e, digit by digit, each digit the log of some h
+    to gamma = base**(r/q) by baby-step giant-step, the first hit of the box
+    (range(m), range(m)) over (gamma**m, gamma), m = isqrt(q - 1) + 1. The
+    table of q is built when a digit first needs it and serves every later
+    digit and target. The logs merge by CRT. ``ops`` gains m per table,
+    plus per digit 2 and the giant steps walked (m on a miss).
     """
-    gamma = pow(base, q ** (e - 1), modulus)
-    m = math.isqrt(q - 1) + 1
-    gens = (pow(gamma, m, modulus), gamma)
-    box = (range(m), range(m))
-    x = 0
-    for j in range(e):
-        h = pow(target * pow(base, -x, modulus) % modulus, q ** (e - 1 - j), modulus)
-        d = _first_hit(gens, h, box, modulus, 1)
-        ops[0] += 2 + m + (m if d is None else d // m + 1)
-        if d is None:
-            return None
-        x += d * q**j
-    return x
+    r = math.prod(q**e for q, e in factors)
+    logs: list[Optional[int]] = [0] * len(targets)
+    for q, e in factors:
+        co = r // q**e
+        crt = co * pow(co, -1, q**e)  # 1 mod q**e, 0 mod co
+        b = pow(base, co, n)
+        gamma = pow(b, q ** (e - 1), n)
+        m = math.isqrt(q - 1) + 1
+        walk = None
+        for i in [i for i, log in enumerate(logs) if log is not None]:
+            y = pow(targets[i], co, n)
+            x = 0
+            for j in range(e):
+                h = pow(y * pow(b, -x, n) % n, q ** (e - 1 - j), n)
+                if walk is None:
+                    walk = _box_walker((pow(gamma, m, n), gamma), (range(m), range(m)), n, 1)
+                    ops[0] += m
+                d = walk(h)
+                ops[0] += 2 + (m if d is None else d // m + 1)
+                if d is None:
+                    logs[i] = None
+                    break
+                x += d * q**j
+            else:
+                logs[i] = (logs[i] + x * crt) % r
+    return logs
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _echelon, is_probable_prime
-from .arith import multiplicative_order, order_factors, primes_up_to
+from .arith import Factorization, Modulus, _echelon, _pohlig_hellman, is_probable_prime
+from .arith import order_factors, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
-from .solvers import solve_dlp
 
 DEFAULT_BOUND = 50
 DEFAULT_SLACK = 10
@@ -331,14 +330,15 @@ def relation_rank_demo(
 
     Raises ValueError for a composite p, and for a beta or generator
     outside the subgroup the bases generate. The rank mod q is taken at
-    each prime q of lambda(p) = p - 1 that divides the bases' order.
+    each prime q of the bases' order.
     """
     if not is_probable_prime(p):
         raise ValueError(f"the rank demo works over prime fields; {p} is composite")
     if not alphas:
         raise ValueError("at least one base is required")
     mod = Modulus(Factorization(((p, 1),)))
-    orders = tuple(multiplicative_order(a, mod) for a in alphas)
+    factored = [order_factors(a, mod) for a in alphas]
+    orders = tuple(math.prod(q**b for q, b in f) for f in factored)
     if len(set(orders)) != 1:
         return RankDemoReport(
             p, orders, False,
@@ -350,21 +350,24 @@ def relation_rank_demo(
     for x in (beta, *generators):
         if pow(x, r, p) != 1:
             raise ValueError(f"{x} is outside the group generated by {alphas[0]} mod {p}")
-    target_logs = tuple(solve_dlp(a, beta, mod).residue for a in alphas)
-    gen_logs = tuple(tuple(solve_dlp(a, g, mod).residue for g in generators) for a in alphas)
-    factors = tuple(solve_dlp(alphas[0], a, mod).residue for a in alphas)
+    # Row j logs beta, the generators (equation j: its first t) and the bases
+    # to base j, each re-checked by an explicit raise, which runs under -O.
+    targets, t = (beta, *generators, *alphas), 1 + len(generators)
+    logs = [_pohlig_hellman(a, targets, p, f, [0]) for a, f in zip(alphas, factored)]
+    for a, row in zip(alphas, logs):
+        for x, y in zip(row, targets):
+            if x is None or pow(a, x, p) != y % p:
+                raise AssertionError(f"no log of {y} to base {a} mod {p}")
+    target_logs = tuple(row[0] for row in logs)
+    gen_logs = tuple(tuple(row[1:t]) for row in logs)
+    factors = tuple(logs[0][t:])
 
-    proportional = True
-    for j in range(len(alphas)):
-        u = factors[j]
-        rowj = (target_logs[j],) + gen_logs[j]
-        row0 = (target_logs[0],) + gen_logs[0]
-        if any((u * cj - c0) % r for cj, c0 in zip(rowj, row0)):
-            proportional = False
+    proportional = not any(
+        (u * cj - c0) % r for u, row in zip(factors, logs) for cj, c0 in zip(row[:t], logs[0])
+    )
     ranks = {
         q: len(_echelon([[c % q for c in row] for row in gen_logs], len(generators), q, 1))
-        for q in mod.carmichael_factorization.primes
-        if r % q == 0
+        for q, _ in factored[0]
     }
     return RankDemoReport(
         p, orders, True, "", target_logs, gen_logs, factors, proportional, ranks

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import subgroup
-from .arith import Factorization, Modulus, as_modulus, is_probable_prime, multiplicative_order
-from .arith import order_factors
+from .arith import Factorization, Modulus, as_modulus, is_probable_prime, order_factors
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, GenerationFailed, IndependenceViolation
 

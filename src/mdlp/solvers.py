@@ -4,11 +4,9 @@ Five routes to the witness tuple of an instance:
 
 * exhaustive scan of the exponent box in lexicographic order;
 * meet-in-the-middle over the same box;
-* single-DLP solving by Pohlig-Hellman decomposition with baby-step
-  giant-step per prime power of the base's order, which order_factors
-  returns factored, with the log returned as its class mod that order
-  (the classical stand-in for a quantum period-finder throughout this
-  package);
+* a single DLP, by arith's Pohlig-Hellman routine on the base's order
+  that order_factors returns factored, as a class mod that order (the
+  classical stand-in for a quantum period-finder throughout this package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
   k mod each order, which works exactly when the witness residues are
   pairwise compatible;
@@ -23,11 +21,11 @@ exhaustive and peel scans count the tuples a tuple-by-tuple lexicographic
 scan would examine, derived exactly from the hit position; meet-in-the-middle
 counts the sizes of both halves, not the tuples scanned.
 
-The exhaustive, meet-in-the-middle and peel scans call the box kernel in
-``arith`` (``_first_hit``), which baby-step giant-step also runs on: its
-table holds the products over the trailing axes (the last one for
-exhaustive and peel, the second half for meet-in-the-middle), and its
-walk from beta over the leading axes stops at the first hit.
+The exhaustive, meet-in-the-middle and peel scans build the box kernel of
+``arith`` (``_box_walker``) once per call and walk it once: its table holds
+the products over the trailing axes (the last one for exhaustive and peel,
+the second half for meet-in-the-middle), and its walk from beta over the
+leading axes stops at the first hit.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _first_hit, _prime_power_log, as_modulus, order_factors
+from .arith import Factorization, Modulus, _box_walker, _pohlig_hellman, as_modulus, order_factors
 from .congruence import Congruence, solve_system, split_exponent
 from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
@@ -69,30 +67,19 @@ def solve_dlp(
     factor) as its class mod r = ord(base), or None when target is outside
     <base>.
 
-    Pohlig-Hellman: r's prime powers come factored from order_factors,
-    BSGS runs per prime power, and the digits recombine by CRT. The log
-    is re-checked by powering. ``ops`` (a one-cell list) accumulates the
-    group-operation count when supplied.
+    r comes factored from order_factors, and arith's Pohlig-Hellman
+    routine takes the log on it. The log is re-checked by powering.
+    ``ops`` (a one-cell list) accumulates the group-operation count when
+    supplied.
     """
-    if ops is None:
-        ops = [0]
     mod = as_modulus(modulus)
     n = mod.n
     target %= n
     factors = order_factors(base, mod)
-    order = math.prod(q**e for q, e in factors)
-    parts = [Congruence(0, 1)]  # all that order 1 leaves: the log is 0 mod 1
-    for q, e in factors:
-        qe = q**e
-        co = order // qe
-        x = _prime_power_log(pow(base, co, n), pow(target, co, n), n, q, e, ops)
-        if x is None:
-            return None
-        parts.append(Congruence(x, qe))
-    log = solve_system(parts)
-    if pow(base, log.residue, n) != target:
+    [log] = _pohlig_hellman(base, [target], n, factors, [0] if ops is None else ops)
+    if log is None or pow(base, log, n) != target:
         return None
-    return log
+    return Congruence(log, math.prod(q**e for q, e in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +123,7 @@ def solve_exhaustive(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> 
     if total > budget:
         raise BudgetExceeded(f"exhaustive box of {total} tuples exceeds budget {budget}")
     box = [range(r) for r in inst.orders]
-    hit = _first_hit(inst.generators, inst.beta, box, inst.n, inst.t - 1)
+    hit = _box_walker(inst.generators, box, inst.n, inst.t - 1)(inst.beta)
     if hit is None:
         return None
     return _checked(inst, _decode(hit, box), METHOD_EXHAUSTIVE, hit + 1)
@@ -162,7 +149,7 @@ def solve_mitm(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Option
             f"mitm scan of {left_total + right_total} candidates exceeds budget {budget}"
         )
     box = [range(r) for r in inst.orders]
-    hit = _first_hit(inst.generators, inst.beta, box, inst.n, h)
+    hit = _box_walker(inst.generators, box, inst.n, h)(inst.beta)
     if hit is None:
         return None
     return _checked(inst, _decode(hit, box), METHOD_MITM, left_total + right_total)
@@ -248,7 +235,7 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
         return PeelResult("partial", congruences, None, ops[0])
 
     # Work counts the candidate tuples a lexicographic walk would examine.
-    hit = _first_hit(inst.generators, inst.beta, box, inst.n, inst.t - 1)
+    hit = _box_walker(inst.generators, box, inst.n, inst.t - 1)(inst.beta)
     if hit is None:
         return PeelResult("not-found", congruences, None, ops[0] + remaining)
     work = ops[0] + hit + 1

@@ -2,16 +2,16 @@
 
 For each prime q of lcm(r_i), every generator is projected into the
 q-Sylow subgroup of each cyclic factor of Z_N* (Z_{p^a}* for odd p, and
-<-1> x <5> for 2^a) and its logarithm there is taken by baby-step
-giant-step, digit by digit (Pohlig-Hellman). The q-part H_q of
+<-1> x <5> for 2^a), and one call of arith's Pohlig-Hellman routine logs
+all of them there, on one baby-step table. The q-part H_q of
 H = <g_1, ..., g_t> is then the span of the log columns, and |H_q| is read
 from their Smith valuations mod q^e, which arith's one echelon kernel
 returns. No subgroup element is enumerated.
 
 Only a prime q shared by two or more orders is examined: where q divides
 one r_i alone, H_q is that generator's cyclic q-part at its full order.
-The baby-step table of a shared q holds about sqrt(q) entries, so a q
-past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
+A shared q costs a table of about sqrt(q) entries per cyclic factor, so a
+q past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _echelon, _prime_power_log, as_modulus, order_factors
+from .arith import Modulus, _echelon, _pohlig_hellman, as_modulus, order_factors
 from .errors import BudgetExceeded
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -31,20 +31,6 @@ MAX_SHARED_PRIME = 2**32
 class IndependenceResult(NamedTuple):
     independent: bool
     witness: Optional[tuple[int, int]]  # (generator index, exponent)
-
-
-def _checked_log(base: int, y: int, m: int, q: int, e: int) -> int:
-    """log of y to ``base`` (of order q**e) mod m, re-checked by powering.
-
-    An explicit check rather than an assert, so it also runs under
-    ``python -O``.
-    """
-    if y == 1:
-        return 0
-    x = _prime_power_log(base, y, m, q, e, [0])
-    if x is None or pow(base, x, m) != y:
-        raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{e}")
-    return x
 
 
 def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[int]]:
@@ -77,8 +63,11 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[
             continue  # a zero row spans nothing
         f = min(big_f, e)
         base = pow(c, lam.n // q**f, m)
-        scale = q ** (e - f)
-        rows.append([_checked_log(base, y, m, q, f) * scale for y in ys])
+        logs = _pohlig_hellman(base, ys, m, ((q, f),), [0])
+        for x, y in zip(logs, ys):  # an explicit check, which runs under -O
+            if x is None or pow(base, x, m) != y:
+                raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{f}")
+        rows.append([x * q ** (e - f) for x in logs])
     return rows
 
 

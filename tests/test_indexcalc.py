@@ -410,6 +410,15 @@ class TestRankDemo:
         assert rep.factors[1] == solve_dlp(2, 32, 107).residue
         assert rep.proportional
 
+    def test_each_base_order_is_computed_once(self):
+        # One order_factors call per base; every log of a base then runs in
+        # one call of the Pohlig-Hellman routine on that factored order.
+        order = mock.Mock(wraps=indexcalc.order_factors)
+        with mock.patch.object(indexcalc, "order_factors", order):
+            rep = relation_rank_demo(107, [2, 32], [3, 5], 15)
+        assert order.call_count == 2
+        assert rep.factors == (1, 5) and rep.proportional
+
     def test_rank_one_for_two_generator_instance(self):
         p = 107
         alpha = 2

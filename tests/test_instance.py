@@ -74,7 +74,7 @@ class TestMakeInstance:
         def no_log(*args):
             raise AssertionError("a Sylow log was taken")
 
-        monkeypatch.setattr(subgroup, "_prime_power_log", no_log)
+        monkeypatch.setattr(subgroup, "_pohlig_hellman", no_log)
         one = make_instance(p1, [4], witness=(12345,))
         g1 = solve_system([Congruence(4, p1), Congruence(1, p2)]).residue
         g2 = solve_system([Congruence(1, p1), Congruence(9, p2)]).residue

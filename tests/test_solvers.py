@@ -10,7 +10,8 @@ from unittest import mock
 import pytest
 
 import mdlp
-from mdlp import arith, solvers
+from mdlp import arith, solvers, subgroup
+from mdlp.arith import Modulus
 from mdlp.congruence import Congruence, solve_system
 from mdlp.errors import AllMethodsExhausted, BudgetExceeded
 from mdlp.instance import generate, make_instance, verify
@@ -69,6 +70,8 @@ class TestSolveDlp:
         assert solve_dlp(34, 13, 35) is None
 
     def test_agrees_with_naive_scan(self):
+        # One target through solve_dlp, then a batch of targets in one call
+        # of the Pohlig-Hellman routine that solve_dlp runs on.
         rng = random.Random(61)
         done = 0
         while done < 1000:
@@ -78,20 +81,18 @@ class TestSolveDlp:
                 continue
             target = rng.randrange(1, n)
             got = solve_dlp(g, target, n)
-            naive = None
-            order = None
+            naive = {}  # g**x -> x over one cycle of g
             cur = 1
-            for x in range(n):
-                if cur == target % n and naive is None:
-                    naive = x
+            while cur not in naive:
+                naive[cur] = len(naive)
                 cur = cur * g % n
-                if cur == 1:
-                    order = x + 1
-                    break
-            if naive is None:
-                assert got is None
+            if target in naive:
+                assert got == Congruence(naive[target], len(naive))
             else:
-                assert got == Congruence(naive, order)
+                assert got is None
+            batch = [target, 1, g, n - 1, target * g % n, target * target % n]
+            logs = arith._pohlig_hellman(g, batch, n, arith.order_factors(g, n), [0])
+            assert logs == [naive.get(y) for y in batch]
             done += 1
 
     def test_large_smooth_order(self):
@@ -100,24 +101,54 @@ class TestSolveDlp:
         assert solve_dlp(3, pow(3, 12345, p), p) == Congruence(12345, p - 1)
 
     def test_work_counts_are_pinned(self):
-        # Exact group-operation counts: per digit, 2 to strip and shift,
-        # plus m baby steps and the giant steps up to the hit (m on a miss),
-        # m = isqrt(q - 1) + 1.
+        # Exact group-operation counts: m baby steps per table, one table
+        # per prime q of the order, m = isqrt(q - 1) + 1; per digit, 2 to
+        # strip and shift plus the giant steps up to the hit (m on a miss).
         cases = [
-            (2, 23, 35, Congruence(7, 12), 15),
+            (2, 23, 35, Congruence(7, 12), 13),
             (13, 19, 35, None, 6),
             (1, 13, 35, None, 0),
-            (3, pow(3, 12345, 65537), 65537, Congruence(12345, 65536), 80),
+            (3, pow(3, 12345, 65537), 65537, Congruence(12345, 65536), 50),
             # 3**5 divides 486: five digits of one prime power
-            (3, pow(3, 400, 487), 487, Congruence(400, 486), 32),
+            (3, pow(3, 400, 487), 487, Congruence(400, 486), 24),
             (5, pow(5, 777777, 1048583), 1048583, Congruence(777777, 1048582), 57),
         ]
         for base, target, modulus, log, work in cases:
             ops = [0]
             assert solve_dlp(base, target, modulus, ops) == log
             assert ops[0] == work, (base, target, modulus)
-        assert attack_collapse(make_instance(35, [13, 19], witness=(3, 1))).work == 15
-        assert attack_collapse(peelable_instance()).work == 22
+        assert attack_collapse(make_instance(35, [13, 19], witness=(3, 1))).work == 13
+        assert attack_collapse(peelable_instance()).work == 20
+
+    def test_one_table_per_prime(self):
+        # A baby-step table is built once per prime of the base's order and
+        # serves every digit and every target of the call.
+        tables, walks = [], []
+        build = arith._box_walker
+
+        def counted(gens, box, n, split):
+            tables.append(len(box[split]))
+            walk = build(gens, box, n, split)
+            return lambda beta: walks.append(beta) or walk(beta)
+
+        with mock.patch.object(arith, "_box_walker", counted):
+            # 9 has order 3**5 mod 487: five digits on one table
+            assert arith._pohlig_hellman(9, [pow(9, 200, 487)], 487, ((3, 5),), [0]) == [200]
+            assert (len(tables), len(walks)) == (1, 5)
+            # One table per cyclic factor of the 3-Sylow subgroup of Z_1729*
+            # (1729 = 7 * 13 * 19), for a row of four generators; the factor
+            # of order 9 at 19 takes two digits per generator.
+            tables.clear(), walks.clear()
+            rows = subgroup._sylow_rows([2, 3, 5, 10], Modulus.from_int(1729), 3, 2)
+            assert len(tables) == len(rows) == 3
+            assert len(walks) == 4 * (1 + 1 + 2)
+            # A miss at the first prime builds no table at a later one:
+            # 2 has order 12 mod 35, and 19 misses at q = 2.
+            tables.clear()
+            assert solve_dlp(2, 19, 35) is None
+            assert tables == [2]
+            assert solve_dlp(2, 23, 35) == Congruence(7, 12)
+            assert tables == [2, 2, 2]
 
     def test_order_is_not_factored(self):
         # With lambda(N) cached on the Modulus, ord(base) is read off its
@@ -360,8 +391,9 @@ def test_verification_survives_optimize_flag():
     # everything, every solver path has to raise AssertionError. The same
     # holds for the independence check's re-check of each Sylow log, and a
     # wrong position from the box kernel that every log runs on must end at
-    # a log's own re-check by powering, and so must a wrong relation or base
-    # log in index calculus.
+    # a log's own re-check by powering (in solve_dlp, the independence
+    # check and the rank demo), and so must a wrong relation or base log in
+    # index calculus.
     code = """
 import sys
 import mdlp.solvers as s
@@ -392,8 +424,8 @@ for call in calls:
 # re-checked by powering, so it ends as None or AssertionError.
 import mdlp.arith as a
 import mdlp.subgroup as sg
-kernel = a._first_hit
-a._first_hit = s._first_hit = lambda gens, beta, box, n, split: 0
+kernel = a._box_walker
+a._box_walker = s._box_walker = lambda gens, box, n, split: lambda beta: 0
 if s.solve_dlp(2, 23, 35) is not None:
     raise SystemExit("solve_dlp returned an unchecked log")
 if s.attack_collapse(inst) is not None:
@@ -404,12 +436,19 @@ except AssertionError:
     pass
 else:
     raise SystemExit("the independence check used an unchecked log")
-a._first_hit = s._first_hit = kernel
+import mdlp.indexcalc as ic
+try:
+    ic.relation_rank_demo(107, [2, 32], [3, 5], 15)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("the rank demo used an unchecked log")
+a._box_walker = s._box_walker = kernel
 
 # The independence check's witness, and its re-check of every Sylow log.
 if sg.independence_check([13, 29], 35) != (False, (0, 2)):
     raise SystemExit("wrong independence witness")
-sg._prime_power_log = lambda base, y, m, q, e, ops: 0
+sg._pohlig_hellman = lambda base, targets, n, factors, ops: [0] * len(targets)
 try:
     sg.independence_check([13, 29], 35)
 except AssertionError:
@@ -419,7 +458,6 @@ else:
 
 # Index calculus re-checks every relation its trial loop yields, and
 # every base log the solver returns, by powering.
-import mdlp.indexcalc as ic
 from mdlp.errors import RankDeficient
 fb = ic.build_factor_base(107, 7)
 holds = ic.relation_holds
@@ -459,4 +497,28 @@ def test_no_assert_statement_in_src():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_unused_import_in_src():
+    # Every name a module of the package imports is read in that module, or
+    # re-exported through __all__.
+    found = []
+    for path in sorted(Path(mdlp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
