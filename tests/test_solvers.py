@@ -138,7 +138,8 @@ class TestSolveDlp:
             # One table per cyclic factor of the 3-Sylow subgroup of Z_1729*
             # (1729 = 7 * 13 * 19), for a row of four generators; the factor
             # of order 9 at 19 takes two digits per generator.
-            tables.clear(), walks.clear()
+            tables.clear()
+            walks.clear()
             rows = subgroup._sylow_rows([2, 3, 5, 10], Modulus.from_int(1729), 3, 2)
             assert len(tables) == len(rows) == 3
             assert len(walks) == 4 * (1 + 1 + 2)
