@@ -18,7 +18,6 @@ from .congruence import (
     split_exponent,
 )
 from .errors import (
-    AllMethodsExhausted,
     BudgetExceeded,
     GenerationFailed,
     IndependenceViolation,
@@ -66,7 +65,6 @@ from .subgroup import independence_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllMethodsExhausted",
     "BudgetExceeded",
     "Congruence",
     "Factorization",

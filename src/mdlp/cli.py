@@ -18,7 +18,7 @@ import time
 from typing import Optional, Sequence
 
 from . import indexcalc, instance, solvers
-from .errors import AllMethodsExhausted, BudgetExceeded, MdlpError, RankDeficient
+from .errors import BudgetExceeded, MdlpError, RankDeficient
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -130,16 +130,7 @@ def cmd_validate(args, argv) -> int:
 def cmd_solve(args, argv) -> int:
     started = time.perf_counter()
     inst = _load_instance(args.instance)
-    try:
-        sol = solvers.solve(inst, args.strategy, budget=args.budget)
-    except AllMethodsExhausted as exc:
-        return _emit(
-            argv,
-            {"found": False, "diagnostics": exc.diagnostics},
-            EXIT_BUDGET,
-            started,
-            inst,
-        )
+    sol = solvers.solve(inst, args.strategy, budget=args.budget)
     if sol is None:
         return _emit(argv, {"found": False}, EXIT_NOT_FOUND, started, inst)
     payload = {

@@ -73,10 +73,3 @@ class IndependenceViolation(MdlpError, ValueError):
 class RankDeficient(MdlpError):
     """The relation matrix does not pin down every base logarithm."""
 
-
-class AllMethodsExhausted(MdlpError):
-    """Every solver strategy was tried and none could decide the instance."""
-
-    def __init__(self, diagnostics):
-        super().__init__(f"no method could decide the instance: {diagnostics}")
-        self.diagnostics = diagnostics

@@ -353,7 +353,8 @@ def relation_rank_demo(
     # Row j logs beta, the generators (equation j: its first t) and the bases
     # to base j, each re-checked by an explicit raise, which runs under -O.
     targets, t = (beta, *generators, *alphas), 1 + len(generators)
-    logs = [_pohlig_hellman(a, targets, p, f, [0]) for a, f in zip(alphas, factored)]
+    logs = [[x and x[0] for x in _pohlig_hellman([a], [f], targets, p, [0])]
+            for a, f in zip(alphas, factored)]
     for a, row in zip(alphas, logs):
         for x, y in zip(row, targets):
             if x is None or pow(a, x, p) != y % p:

@@ -4,9 +4,10 @@ Five routes to the witness tuple of an instance:
 
 * exhaustive scan of the exponent box in lexicographic order;
 * meet-in-the-middle over the same box;
-* a single DLP, by arith's Pohlig-Hellman routine on the base's order
-  that order_factors returns factored, as a class mod that order (the
-  classical stand-in for a quantum period-finder throughout this package);
+* arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>, on the orders
+  that order_factors returns factored: the "auto" strategy, and with one
+  generator the single DLP, a class mod the base's order (the classical
+  stand-in for a quantum period-finder throughout this package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
   k mod each order, which works exactly when the witness residues are
   pairwise compatible;
@@ -36,8 +37,9 @@ from typing import Optional, Sequence
 
 from .arith import Factorization, Modulus, _box_walker, _pohlig_hellman, as_modulus, order_factors
 from .congruence import Congruence, solve_system, split_exponent
-from .errors import AllMethodsExhausted, BudgetExceeded, UnsolvableSystem
+from .errors import BudgetExceeded, IndependenceViolation, UnsolvableSystem
 from .instance import Instance, verify
+from .subgroup import _independence
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_MITM = "mitm"
@@ -76,10 +78,10 @@ def solve_dlp(
     n = mod.n
     target %= n
     factors = order_factors(base, mod)
-    [log] = _pohlig_hellman(base, [target], n, factors, [0] if ops is None else ops)
-    if log is None or pow(base, log, n) != target:
+    [log] = _pohlig_hellman([base], [factors], [target], n, [0] if ops is None else ops)
+    if log is None or pow(base, log[0], n) != target:
         return None
-    return Congruence(log, math.prod(q**e for q, e in factors))
+    return Congruence(log[0], math.prod(q**e for q, e in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,6 @@ class PeelResult:
 
     status is one of:
       * "solved": full tuple recovered (and verified);
-      * "partial": some exponents pinned only to residue classes and the
-        remaining box exceeded the enumeration budget;
       * "not-applicable": no prime of N has every other generator = 1;
       * "not-found": the reduced box was searched and beta never appeared.
     congruences maps generator index -> recovered residue class of k_i.
@@ -207,7 +207,8 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
     order of g_i mod p. One pass over N's primes finds them: p serves when
     exactly one generator is not 1 mod p. Residues from several primes
     merge by CRT. The reduction is attacker-checkable: it never peeks at
-    the witness.
+    the witness. Raises BudgetExceeded when the reduced box, each pinned
+    k_i restricted to its residue class, holds more than ``budget`` tuples.
     """
     ops = [0]
     entries: list[list[Congruence]] = [[] for _ in inst.generators]
@@ -229,10 +230,13 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
     if not congruences:
         return PeelResult("not-applicable", {}, None, ops[0])
 
-    box = _peel_box(inst.orders, congruences)
+    box = [
+        range(congruences[i].residue, r, congruences[i].modulus) if i in congruences else range(r)
+        for i, r in enumerate(inst.orders)
+    ]
     remaining = math.prod(len(ks) for ks in box)
     if remaining > budget:
-        return PeelResult("partial", congruences, None, ops[0])
+        raise BudgetExceeded(f"peel box of {remaining} tuples exceeds budget {budget}")
 
     # Work counts the candidate tuples a lexicographic walk would examine.
     hit = _box_walker(inst.generators, box, inst.n, inst.t - 1)(inst.beta)
@@ -241,14 +245,6 @@ def attack_peel(inst: Instance, *, budget: int = DEFAULT_SEARCH_BUDGET) -> PeelR
     work = ops[0] + hit + 1
     sol = _checked(inst, _decode(hit, box), METHOD_PEEL, work)
     return PeelResult("solved", congruences, sol, work)
-
-
-def _peel_box(orders: Sequence[int], congruences: dict[int, Congruence]) -> list[range]:
-    """The exponent box with each pinned k_i restricted to its residue class."""
-    return [
-        range(congruences[i].residue, r, congruences[i].modulus) if i in congruences else range(r)
-        for i, r in enumerate(orders)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +261,13 @@ def solve(
 ) -> Optional[Solution]:
     """Recover the exponent tuple; None means definitively not found.
 
-    "auto" tries collapse, then peel, then meet-in-the-middle, then the
-    exhaustive scan, and raises AllMethodsExhausted (with per-method
-    diagnostics) when nothing could decide the instance.
+    "auto" is arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>
+    (method "sylow", work 1 plus its group operations), whose misses are
+    proofs only for independent generators: a dependent set raises
+    IndependenceViolation. beta**lcm(r_i) != 1 gives None at once. Before
+    any table, m**s per table and 2 + m**s per level (s active generators,
+    m = isqrt(q - 1) + 1) are charged, and BudgetExceeded raises over
+    ``budget``, or for a table over DEFAULT_MEMORY_CAP.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -278,34 +278,25 @@ def solve(
     if strategy == "collapse":
         return attack_collapse(inst)
     if strategy == "peel":
-        peel = attack_peel(inst, budget=budget)
-        if peel.status == "partial":
-            remaining = math.prod(len(ks) for ks in _peel_box(inst.orders, peel.congruences))
-            raise BudgetExceeded(f"peel box of {remaining} tuples exceeds budget {budget}")
-        return peel.solution
+        return attack_peel(inst, budget=budget).solution
 
-    diagnostics: dict[str, str] = {}
-    sol = attack_collapse(inst)
-    if sol is not None:
-        return sol
-    diagnostics["collapse"] = "not-applicable"
-
-    peel = attack_peel(inst, budget=budget)
-    if peel.solution is not None:
-        return peel.solution
-    diagnostics["peel"] = peel.status
-    if peel.status == "not-found":
+    factored = [order_factors(g, inst.modulus) for g in inst.generators]
+    if not inst.independence_verified:
+        res = _independence(inst.generators, inst.modulus, factored)
+        if not res.independent:
+            raise IndependenceViolation(res.witness)
+    if pow(inst.beta, math.lcm(*inst.orders), inst.n) != 1:
         return None
-
-    try:
-        sol = solve_mitm(inst, budget=budget)
-        return sol  # a full scan ran: None here is definitive
-    except BudgetExceeded as exc:
-        diagnostics["mitm"] = str(exc)
-
-    try:
-        return solve_exhaustive(inst, budget=budget)
-    except BudgetExceeded as exc:
-        diagnostics["exhaustive"] = str(exc)
-
-    raise AllMethodsExhausted(diagnostics)
+    cost = 1
+    for q in {q for f in factored for q, _ in f}:
+        bs = [dict(f).get(q, 0) for f in factored]
+        e, m = max(bs), math.isqrt(q - 1) + 1
+        sizes = [m ** sum(b >= e - j for b in bs) for j in range(e)]  # the last is the largest
+        if (table := sizes[-1]) > DEFAULT_MEMORY_CAP:
+            raise BudgetExceeded(f"sylow table of {table} entries exceeds cap {DEFAULT_MEMORY_CAP}")
+        cost += sum(set(sizes)) + sum(sizes) + 2 * e  # one table per active set
+    if cost > budget:
+        raise BudgetExceeded(f"sylow work of {cost} operations exceeds budget {budget}")
+    ops = [1]
+    [exponents] = _pohlig_hellman(inst.generators, factored, [inst.beta], inst.n, ops)
+    return None if exponents is None else _checked(inst, exponents, "sylow", ops[0])

@@ -63,7 +63,7 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[
             continue  # a zero row spans nothing
         f = min(big_f, e)
         base = pow(c, lam.n // q**f, m)
-        logs = _pohlig_hellman(base, ys, m, ((q, f),), [0])
+        logs = [x and x[0] for x in _pohlig_hellman([base], [((q, f),)], ys, m, [0])]
         for x, y in zip(logs, ys):  # an explicit check, which runs under -O
             if x is None or pow(base, x, m) != y:
                 raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{f}")

@@ -19,8 +19,9 @@ from mdlp import solvers
 from mdlp.arith import Factorization, is_probable_prime
 from mdlp.congruence import Congruence, solve_system
 from mdlp.instance import make_instance
-from mdlp.errors import BudgetExceeded
-from mdlp.solvers import attack_peel, solve_exhaustive, solve_mitm
+from mdlp.errors import BudgetExceeded, IndependenceViolation
+from mdlp.solvers import attack_peel, solve, solve_exhaustive, solve_mitm
+from mdlp.subgroup import independence_check
 
 # Pairwise coprime components of each modulus: squarefree N, prime-power
 # factors and even N with its non-cyclic 2-part.
@@ -35,6 +36,9 @@ EDGE_CASES = (
     make_instance(35, [13, 29], beta=27, check_independence=False),
     make_instance(35, [13, 13, 19], beta=19, check_independence=False),
     make_instance(35, [13], beta=19),
+    # beta**4 = 1 = 13**4, yet -1 is not a power of 13: a miss at a level
+    make_instance(35, [13], beta=34),
+    make_instance(35, [1, 1], beta=13),
 )
 
 
@@ -133,6 +137,22 @@ def test_mitm_matches_oracle(inst, memory_cap):
     else:
         assert sol.exponents == hits[0][1]
         assert sol.work == math.prod(inst.orders[:h]) + math.prod(inst.orders[h:])
+
+
+@differential()
+def test_auto_matches_oracle(inst):
+    # A miss at a level proves beta outside H only for independent
+    # generators, so auto refuses a dependent set.
+    if not independence_check(inst.generators, inst.modulus).independent:
+        with pytest.raises(IndependenceViolation):
+            solve(inst, "auto")
+        return
+    hits = _lexicographic_hits(inst, _full_box(inst))
+    sol = solve(inst, "auto")
+    if not hits:
+        assert sol is None
+    else:
+        assert sol.exponents == hits[0][1]
 
 
 @differential()

@@ -9,6 +9,7 @@ import pytest
 
 import mdlp
 from mdlp import indexcalc
+from mdlp.arith import Factorization
 from mdlp.cli import build_parser, main
 from mdlp.instance import dumps, generate, make_instance, to_json_dict
 
@@ -160,10 +161,32 @@ class TestValidate:
 
 class TestSolve:
     def test_auto_uses_collapse(self, capsys, example_file):
+        # auto runs Pohlig-Hellman inside H on the collapsible example too.
         code, doc = run_json(capsys, "solve", example_file, "--strategy", "auto")
         assert code == 0
-        assert doc["result"]["method"] == "collapse"
+        assert doc["result"]["method"] == "sylow"
         assert doc["result"]["exponents"] == ["3", "1"]
+        assert doc["work"] == 18
+
+    def test_auto_solves_what_every_other_strategy_refuses(self, capsys, tmp_path):
+        # N = p1 * p2 has 99 bits and the orders 2 * 4194319 and 2 * 4194329
+        # share only the prime 2: collapse and peel do not apply, the MITM
+        # table is over its cap and the exhaustive box over the budget.
+        p1, p2 = 527770614508531, 633324737410237
+        gens = [231430532596621194593704320678, 185352562789439527536802537963]
+        inst = make_instance(Factorization(((p1, 1), (p2, 1))), gens, witness=(3957039, 7654322))
+        assert inst.n.bit_length() == 99
+        assert inst.orders == (2 * 4194319, 2 * 4194329)
+        path = tmp_path / "wide.json"
+        path.write_text(dumps(inst))
+        code, doc = run_json(capsys, "solve", str(path))
+        assert code == 0
+        assert doc["result"]["method"] == "sylow"
+        assert doc["result"]["exponents"] == ["3957039", "7654322"]
+        assert doc["work"] == 7731
+        for strategy, exit_status in (("collapse", 1), ("peel", 1), ("mitm", 3), ("exhaustive", 3)):
+            code, doc = run_json(capsys, "solve", str(path), "--strategy", strategy)
+            assert code == exit_status, strategy
 
     def test_exhaustive_same_answer(self, capsys, example_file):
         code, doc = run_json(capsys, "solve", example_file,
@@ -184,7 +207,8 @@ class TestSolve:
         path.write_text(dumps(make_instance(35, [13, 19], witness=(1, 0))))
         code, doc = run_json(capsys, "solve", str(path), "--budget", "1")
         assert code == 3
-        assert "diagnostics" in doc["result"]
+        assert doc["exit_status"] == 3
+        assert "exceeds budget 1" in doc["error"]
 
     def test_peel_over_budget_exit_three(self, capsys, tmp_path):
         # 211 = 1 mod 35 and 353 = 1 mod 11, so peel applies

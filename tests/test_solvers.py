@@ -13,7 +13,7 @@ import mdlp
 from mdlp import arith, solvers, subgroup
 from mdlp.arith import Modulus
 from mdlp.congruence import Congruence, solve_system
-from mdlp.errors import AllMethodsExhausted, BudgetExceeded
+from mdlp.errors import BudgetExceeded
 from mdlp.instance import generate, make_instance, verify
 from mdlp.solvers import (
     attack_collapse,
@@ -91,8 +91,8 @@ class TestSolveDlp:
             else:
                 assert got is None
             batch = [target, 1, g, n - 1, target * g % n, target * target % n]
-            logs = arith._pohlig_hellman(g, batch, n, arith.order_factors(g, n), [0])
-            assert logs == [naive.get(y) for y in batch]
+            logs = arith._pohlig_hellman([g], [arith.order_factors(g, n)], batch, n, [0])
+            assert logs == [None if y not in naive else [naive[y]] for y in batch]
             done += 1
 
     def test_large_smooth_order(self):
@@ -133,7 +133,7 @@ class TestSolveDlp:
 
         with mock.patch.object(arith, "_box_walker", counted):
             # 9 has order 3**5 mod 487: five digits on one table
-            assert arith._pohlig_hellman(9, [pow(9, 200, 487)], 487, ((3, 5),), [0]) == [200]
+            assert arith._pohlig_hellman([9], [((3, 5),)], [pow(9, 200, 487)], 487, [0]) == [[200]]
             assert (len(tables), len(walks)) == (1, 5)
             # One table per cyclic factor of the 3-Sylow subgroup of Z_1729*
             # (1729 = 7 * 13 * 19), for a row of four generators; the factor
@@ -150,6 +150,15 @@ class TestSolveDlp:
             assert tables == [2]
             assert solve_dlp(2, 23, 35) == Congruence(7, 12)
             assert tables == [2, 2, 2]
+            # Several generators: 27 and 31 have order 4 mod 65 (27 at 5, 31
+            # at 13), so both are active at both levels of q = 2, and one
+            # table of m**2 = 4 entries serves the two levels of two targets.
+            tables.clear()
+            walks.clear()
+            targets = [pow(27, 3, 65) * 31 % 65, 27 * pow(31, 2, 65) % 65]
+            logs = arith._pohlig_hellman([27, 31], [((2, 2),)] * 2, targets, 65, [0])
+            assert logs == [[3, 1], [1, 2]]
+            assert (tables, len(walks)) == ([2], 4)
 
     def test_order_is_not_factored(self):
         # With lambda(N) cached on the Modulus, ord(base) is read off its
@@ -292,11 +301,12 @@ class TestAttackPeel:
         assert res.solution.exponents == (37,)
 
     def test_partial_when_budget_blocks_enumeration(self):
+        # The leaked congruences leave a box of 1 tuple; over budget the
+        # attack raises rather than reporting the congruences alone.
         inst = peelable_instance()
-        res = attack_peel(inst, budget=0)
-        assert res.status == "partial"
-        assert res.solution is None
-        assert res.congruences
+        with pytest.raises(BudgetExceeded, match="peel box of 1 tuples exceeds budget 0"):
+            attack_peel(inst, budget=0)
+        assert attack_peel(inst, budget=1).status == "solved"
 
     def test_solve_peel_over_budget_raises(self):
         # over budget is not "not found": None would read as a definite miss
@@ -344,9 +354,14 @@ class TestAttackPeel:
 
 class TestOrchestrator:
     def test_auto_prefers_collapse(self, worked_example):
+        # auto is the Pohlig-Hellman routine inside H, on the collapsible
+        # worked example too: orders 4 and 6, tables of 2, 4 and 2 entries,
+        # three levels of 2 operations and one giant step each, and the
+        # powering by L = 12.
         sol = solve(worked_example, "auto")
-        assert sol.method == "collapse"
+        assert sol.method == "sylow"
         assert sol.exponents == (3, 1)
+        assert sol.work == 18
 
     def test_auto_on_collapse_resistant_instance(self):
         inst = make_instance(35, [13, 19], witness=(1, 0))
@@ -371,11 +386,21 @@ class TestOrchestrator:
             solve(worked_example, "quantum")
 
     def test_all_methods_exhausted(self):
+        # Over budget, auto raises BudgetExceeded before building a table.
         inst = make_instance(35, [13, 19], witness=(1, 0))
-        with pytest.raises(AllMethodsExhausted) as exc:
+        with pytest.raises(BudgetExceeded, match="exceeds budget 1"):
             solve(inst, "auto", budget=1)
-        assert "mitm" in exc.value.diagnostics
-        assert "exhaustive" in exc.value.diagnostics
+
+    def test_auto_charges_its_worst_case_before_any_table(self, worked_example):
+        # Orders 4 and 6, m = 2: at q = 2 the tables of 2 and 4 entries and
+        # two levels of 2 + 2 and 2 + 4; at q = 3 one table of 2 and one
+        # level of 2 + 2; plus the powering by lcm = 12: 23 in all.
+        assert solve(worked_example, "auto", budget=23).work == 18
+        with pytest.raises(BudgetExceeded, match="sylow work of 23 operations exceeds budget 22"):
+            solve(worked_example, "auto", budget=22)
+        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3), \
+                pytest.raises(BudgetExceeded, match="sylow table of 4 entries exceeds cap 3"):
+            solve(worked_example, "auto")
 
     def test_every_solution_verifies(self):
         for i in range(40):
@@ -408,6 +433,7 @@ peelable = make_instance(385, [211, 353], witness=(7, 5))
 # t = 4, so the MITM table spans two axes
 four = make_instance(35, [13, 19, 13, 19], witness=(3, 1, 2, 5), check_independence=False)
 calls = [
+    lambda: s.solve(inst, "auto"),
     lambda: s.solve_exhaustive(inst),
     lambda: s.solve_mitm(inst),
     lambda: s.solve_mitm(four),
@@ -449,7 +475,7 @@ a._box_walker = s._box_walker = kernel
 # The independence check's witness, and its re-check of every Sylow log.
 if sg.independence_check([13, 29], 35) != (False, (0, 2)):
     raise SystemExit("wrong independence witness")
-sg._pohlig_hellman = lambda base, targets, n, factors, ops: [0] * len(targets)
+sg._pohlig_hellman = lambda gens, orders, targets, n, ops: [[0]] * len(targets)
 try:
     sg.independence_check([13, 29], 35)
 except AssertionError:
