@@ -378,7 +378,7 @@ def _box_walker(
 
 def _pohlig_hellman(
     gens: Sequence[int], orders: Sequence[Sequence[tuple[int, int]]], targets: Sequence[int],
-    n: int, ops: list[int],
+    n: int, ops: list[int], budget: float = math.inf, cap: float = math.inf,
 ) -> list[Optional[list[int]]]:
     """Per target, [x_1, ..., x_t] with x_i in [0, r_i) and prod gens[i]**x_i
     = target mod n, or None; orders[i] is r_i = ord(gens[i]) as (q, b) pairs.
@@ -392,21 +392,23 @@ def _pohlig_hellman(
     split at s, gamma_i of order q, m = isqrt(q - 1) + 1. A table is built
     when a level first needs it and serves every later level with the same
     active set, and every target. The prime powers merge by CRT. If
-    target**L = 1, a miss proves it outside H for one or for independent
-    generators; other targets may get exponents that do not give them.
-    ``ops`` gains m**s per table, plus per level and target 2 and the giant
-    steps walked (m**s on a miss).
+    target**L = 1, a hit gives it and a miss proves it outside H for one or
+    for independent generators; other targets may get exponents that do not
+    give them. ``ops`` gains m**s per table, plus per level and target 2 and
+    the giant steps walked (m**s on a miss). Under a finite ``cap``, before
+    any table, BudgetExceeded raises when a table would exceed ``cap``
+    entries or ops[0] plus that worst case would exceed ``budget``.
     """
     rs, shares = [], {}  # shares[q]: (b_i, i) for each order that q divides
     for i, f in enumerate(orders):
         rs.append(math.prod(q**b for q, b in f))
         for q, b in f:
             shares.setdefault(q, []).append((b, i))
-    out: list[Optional[list[int]]] = [[0] * len(gens) for _ in targets]
+    lcm, plans, worst, top = math.lcm(*rs), [], ops[0], 0
     for q, live in sorted(shares.items()):
         live.sort(reverse=True)  # b descending: each level's active set is a prefix
         e, m = live[0][0], math.isqrt(q - 1) + 1
-        co = math.lcm(*rs) // q**e
+        co = lcm // q**e
         for k, (b, i) in enumerate(live):  # + projection i, CRT weight (1 mod q**b, 0 mod r_i/q**b)
             cofactor = rs[i] // q**b
             live[k] = (b, i, pow(gens[i], co, n), cofactor * pow(cofactor, -1, q**b))
@@ -415,6 +417,16 @@ def _pohlig_hellman(
             while s < len(live) and live[s][0] >= e - j:
                 s += 1
             levels.append((j, q ** (e - 1 - j), s, m**s, live[s - 1 :: -1]))
+        plans.append((q, e, m, co, levels))
+        if cap < math.inf:
+            top = max(top, m**s)  # the last level's table is the largest
+            worst += sum({lv[3] for lv in levels}) + len(targets) * sum(2 + lv[3] for lv in levels)
+    if top > cap:
+        raise BudgetExceeded(f"sylow table of {top} entries exceeds cap {cap}")
+    if worst > budget:
+        raise BudgetExceeded(f"sylow work of {worst} operations exceeds budget {budget}")
+    out: list[Optional[list[int]]] = [[0] * len(gens) for _ in targets]
+    for q, e, m, co, levels in plans:
         walks: dict[int, Callable[[int], Optional[int]]] = {}  # by s
         for k, xs in enumerate(out):
             if xs is None:

@@ -5,9 +5,10 @@ Five routes to the witness tuple of an instance:
 * exhaustive scan of the exponent box in lexicographic order;
 * meet-in-the-middle over the same box;
 * arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>, on the orders
-  that order_factors returns factored: the "auto" strategy, and with one
-  generator the single DLP, a class mod the base's order (the classical
-  stand-in for a quantum period-finder throughout this package);
+  that order_factors returns factored: the "auto" strategy, which tries
+  the two attacks below when it is over budget, and with one generator
+  the single DLP, a class mod the base's order (the classical stand-in
+  for a quantum period-finder throughout this package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
   k mod each order, which works exactly when the witness residues are
   pairwise compatible;
@@ -262,12 +263,14 @@ def solve(
     """Recover the exponent tuple; None means definitively not found.
 
     "auto" is arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>
-    (method "sylow", work 1 plus its group operations), whose misses are
-    proofs only for independent generators: a dependent set raises
-    IndependenceViolation. beta**lcm(r_i) != 1 gives None at once. Before
-    any table, m**s per table and 2 + m**s per level (s active generators,
-    m = isqrt(q - 1) + 1) are charged, and BudgetExceeded raises over
-    ``budget``, or for a table over DEFAULT_MEMORY_CAP.
+    (method "sylow", work 1 plus its group operations). beta**lcm(r_i) != 1
+    gives None at once; then a hit gives beta, and a miss is a proof only
+    for independent generators: after a miss, an unchecked dependent set
+    raises IndependenceViolation. The routine charges its worst case
+    before any table. When that is over ``budget``, or a table over
+    DEFAULT_MEMORY_CAP, as where generators share a large prime, collapse
+    and then peel are tried, whose logs take one generator at a time;
+    BudgetExceeded raises when neither decides.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -281,22 +284,26 @@ def solve(
         return attack_peel(inst, budget=budget).solution
 
     factored = [order_factors(g, inst.modulus) for g in inst.generators]
+    if pow(inst.beta, math.lcm(*inst.orders), inst.n) != 1:
+        return None
+    ops = [1]
+    try:
+        [exponents] = _pohlig_hellman(
+            inst.generators, factored, [inst.beta], inst.n, ops, budget, DEFAULT_MEMORY_CAP
+        )
+    except BudgetExceeded:
+        # collapse and peel log to one generator at a time, on tables that
+        # must fit the cap too; a peel scan that finds nothing is a proof
+        for g, f in zip(inst.generators, factored):
+            _pohlig_hellman([g], [f], [], inst.n, [0], cap=DEFAULT_MEMORY_CAP)
+        sol = attack_collapse(inst)
+        if sol is None and (peel := attack_peel(inst, budget=budget)).status == "not-applicable":
+            raise
+        return sol or peel.solution
+    if exponents is not None:
+        return _checked(inst, exponents, "sylow", ops[0])
     if not inst.independence_verified:
         res = _independence(inst.generators, inst.modulus, factored)
         if not res.independent:
             raise IndependenceViolation(res.witness)
-    if pow(inst.beta, math.lcm(*inst.orders), inst.n) != 1:
-        return None
-    cost = 1
-    for q in {q for f in factored for q, _ in f}:
-        bs = [dict(f).get(q, 0) for f in factored]
-        e, m = max(bs), math.isqrt(q - 1) + 1
-        sizes = [m ** sum(b >= e - j for b in bs) for j in range(e)]  # the last is the largest
-        if (table := sizes[-1]) > DEFAULT_MEMORY_CAP:
-            raise BudgetExceeded(f"sylow table of {table} entries exceeds cap {DEFAULT_MEMORY_CAP}")
-        cost += sum(set(sizes)) + sum(sizes) + 2 * e  # one table per active set
-    if cost > budget:
-        raise BudgetExceeded(f"sylow work of {cost} operations exceeds budget {budget}")
-    ops = [1]
-    [exponents] = _pohlig_hellman(inst.generators, factored, [inst.beta], inst.n, ops)
-    return None if exponents is None else _checked(inst, exponents, "sylow", ops[0])
+    return None

@@ -188,6 +188,26 @@ class TestSolve:
             code, doc = run_json(capsys, "solve", str(path), "--strategy", strategy)
             assert code == exit_status, strategy
 
+    def test_auto_peels_when_a_shared_prime_is_over_the_cap(self, capsys, tmp_path):
+        # Both orders are the prime q = 8388617, which divides p1 - 1 and
+        # p2 - 1: g1 is 1 mod p2 and g2 is 1 mod p1. Inside H the table of
+        # q's top level holds m**2 = 8392609 entries, over the memory cap,
+        # so auto tries collapse (k1 != k2 mod q: no) and then peel, whose
+        # logs mod p1 and mod p2 take one generator each.
+        p1, p2 = 201326809, 218104043
+        gens = [49945825848, 43909999142739811]
+        inst = make_instance(Factorization(((p1, 1), (p2, 1))), gens, witness=(5000011, 1234567))
+        assert inst.orders == (8388617, 8388617)
+        path = tmp_path / "shared.json"
+        path.write_text(dumps(inst))
+        code, doc = run_json(capsys, "solve", str(path))
+        assert code == 0
+        assert doc["result"]["method"] == "peel+recurse"
+        assert doc["result"]["exponents"] == ["5000011", "1234567"]
+        assert doc["work"] == 7952
+        code, doc = run_json(capsys, "solve", str(path), "--strategy", "collapse")
+        assert code == 1
+
     def test_exhaustive_same_answer(self, capsys, example_file):
         code, doc = run_json(capsys, "solve", example_file,
                              "--strategy", "exhaustive")

@@ -11,9 +11,9 @@ import pytest
 
 import mdlp
 from mdlp import arith, solvers, subgroup
-from mdlp.arith import Modulus
+from mdlp.arith import Factorization, Modulus
 from mdlp.congruence import Congruence, solve_system
-from mdlp.errors import BudgetExceeded
+from mdlp.errors import BudgetExceeded, IndependenceViolation
 from mdlp.instance import generate, make_instance, verify
 from mdlp.solvers import (
     attack_collapse,
@@ -394,13 +394,54 @@ class TestOrchestrator:
     def test_auto_charges_its_worst_case_before_any_table(self, worked_example):
         # Orders 4 and 6, m = 2: at q = 2 the tables of 2 and 4 entries and
         # two levels of 2 + 2 and 2 + 4; at q = 3 one table of 2 and one
-        # level of 2 + 2; plus the powering by lcm = 12: 23 in all.
+        # level of 2 + 2; plus the powering by lcm = 12: 23 in all. The
+        # resistant instance has the same orders, and neither collapse nor
+        # peel applies to it.
         assert solve(worked_example, "auto", budget=23).work == 18
+        resistant = make_instance(35, [13, 19], witness=(1, 0))
         with pytest.raises(BudgetExceeded, match="sylow work of 23 operations exceeds budget 22"):
-            solve(worked_example, "auto", budget=22)
+            solve(resistant, "auto", budget=22)
         with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3), \
                 pytest.raises(BudgetExceeded, match="sylow table of 4 entries exceeds cap 3"):
-            solve(worked_example, "auto")
+            solve(resistant, "auto")
+
+    def test_auto_tries_collapse_and_peel_when_over_budget(self, worked_example):
+        sol = solve(worked_example, "auto", budget=22)
+        assert (sol.method, sol.exponents) == ("collapse", (3, 1))
+        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3):
+            assert solve(worked_example, "auto").method == "collapse"
+        # Their one-generator tables must fit the cap too. Every log to 4,
+        # of prime order q = (p - 1)/2, needs isqrt(q - 1) + 1 entries.
+        big = make_instance(Factorization(((70368744181907, 1),)), [4], witness=(123456789,))
+        with mock.patch.object(solvers, "attack_collapse", side_effect=AssertionError), \
+                pytest.raises(BudgetExceeded, match="sylow table of 5931642 entries exceeds cap"):
+            solve(big, "auto")
+        # 7 - 4 is odd and gcd(10, 12) = 2: collapse does not apply, peel
+        # does, and leaves one tuple (peelable_instance with k2 = 4)
+        peelable = make_instance(385, [211, 353], witness=(7, 4))
+        sol = solve(peelable, "auto", budget=1)
+        assert (sol.method, sol.exponents) == ("peel+recurse", (7, 4))
+        # A peel scan that finds nothing is a proof. beta = 276 is 1 mod 11
+        # and 31 mod 35, outside <3>, so outside H though beta**60 = 1. Its
+        # residues at 5 and 7 conflict and pin nothing; peel scans the 12
+        # tuples with k1 = 0 (from 11), under a budget the routine's 31 is over.
+        outside = make_instance(385, [211, 353], beta=276)
+        assert solve(outside, "exhaustive") is None
+        assert attack_peel(outside).status == "not-found"
+        assert solve(outside, "auto", budget=12) is None
+
+    def test_auto_checks_independence_only_after_a_miss(self):
+        # 29 = 13**2, so the unchecked pair is dependent and H = <13>. A hit
+        # gives beta whatever the generators: 27 = 13 * 29 needs no check.
+        # 34 = -1 has 34**4 = 1 but is outside H, and a miss on a dependent
+        # set proves nothing, so auto raises.
+        hit = make_instance(35, [13, 29], beta=27, check_independence=False)
+        with mock.patch.object(solvers, "_independence", side_effect=AssertionError):
+            sol = solve(hit, "auto")
+        assert (sol.method, sol.exponents) == ("sylow", (1, 1))
+        miss = make_instance(35, [13, 29], beta=34, check_independence=False)
+        with pytest.raises(IndependenceViolation):
+            solve(miss, "auto")
 
     def test_every_solution_verifies(self):
         for i in range(40):
