@@ -6,13 +6,14 @@ alone, from which n and the Carmichael function of each prime-power
 component, factored, are derived once, and multiplicative orders,
 computed factored in those components. Two kernels are shared: the box
 kernel, which builds Shanks' table once and returns its walk, for the
-exhaustive, meet-in-the-middle and peel scans and for the baby-step
-giant-step of the one Pohlig-Hellman digit loop, which takes every
-discrete log of the package, to one generator or inside the group that
-several span, on one table per prime and active set; and the forward-only
-echelon kernel mod q**e, with least-valuation pivots, of the independence
-check and of index calculus, which back-substitutes. The echelon kernel
-works in place; everything else is a pure function over immutable values.
+exhaustive, meet-in-the-middle and peel scans and, as its two-axis case,
+for the baby-step giant-step of the one Pohlig-Hellman digit loop, which
+takes every discrete log of the package on one table per prime of the
+base's order; and the forward-only echelon kernel mod q**e, with
+least-valuation pivots, of the independence check, and with its
+back-substitution of the "auto" solver's Sylow systems and of index
+calculus. The echelon kernel works in place; everything else is a pure
+function over immutable values.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def primes_up_to(bound: int) -> list[int]:
 class Modulus:
     """A modulus n >= 2, given by its factorization alone.
 
-    n, the factored lambda(p**a) of each component and lambda(n) are
-    derived from it on first use and cached.
+    n and the factored lambda(p**a) of each component are derived from it
+    on first use and cached.
     """
 
     factorization: Factorization
@@ -266,16 +267,6 @@ class Modulus:
                 parts = [*factorize(p - 1), (p, a - 1)]  # every prime of p - 1 is below p
             out.append((p**a, Factorization(tuple((q, b) for q, b in parts if b))))
         return tuple(out)
-
-    @cached_property
-    def carmichael_factorization(self) -> Factorization:
-        """lambda(n), the exponent of the unit group, factored: the lcm of
-        the components' lambda(p**a), the largest exponent of each prime."""
-        exps: dict[int, int] = {}
-        for _, lam in self.components:
-            for q, b in lam:
-                exps[q] = max(exps.get(q, 0), b)
-        return Factorization(tuple(sorted(exps.items())))
 
 
 def as_modulus(m) -> Modulus:
@@ -377,81 +368,44 @@ def _box_walker(
 
 
 def _pohlig_hellman(
-    gens: Sequence[int], orders: Sequence[Sequence[tuple[int, int]]], targets: Sequence[int],
-    n: int, ops: list[int], budget: float = math.inf, cap: float = math.inf,
-) -> list[Optional[list[int]]]:
-    """Per target, [x_1, ..., x_t] with x_i in [0, r_i) and prod gens[i]**x_i
-    = target mod n, or None; orders[i] is r_i = ord(gens[i]) as (q, b) pairs.
+    base: int, targets: Sequence[int], n: int, factors: Sequence[tuple[int, int]], ops: list[int]
+) -> list[Optional[int]]:
+    """The log of each target to ``base`` mod n, in [0, r), or None; r is
+    base's order, given factored as (q, e) pairs in ``factors``.
 
-    Pohlig-Hellman inside H = <gens> (Teske, J. Symbolic Comput. 1999): per
-    q**e exactly dividing L = lcm(r_i), units are projected into H_q by the
-    power L/q**e and their digits lifted level by level, j = 0..e-1. The s
-    generators whose q-exponent b_i is at least e - j are active at level j;
-    their digits a_i*m + c_i mod q, of place q**(j - e + b_i), come from the
-    first hit of the box range(m)**2s over (gamma_i**m ..., gamma_i ...),
-    split at s, gamma_i of order q, m = isqrt(q - 1) + 1. A table is built
-    when a level first needs it and serves every later level with the same
-    active set, and every target. The prime powers merge by CRT. If
-    target**L = 1, a hit gives it and a miss proves it outside H for one or
-    for independent generators; other targets may get exponents that do not
-    give them. ``ops`` gains m**s per table, plus per level and target 2 and
-    the giant steps walked (m**s on a miss). Under a finite ``cap``, before
-    any table, BudgetExceeded raises when a table would exceed ``cap``
-    entries or ops[0] plus that worst case would exceed ``budget``.
+    Pohlig-Hellman: per q**e, digit by digit, each digit the log of some h
+    to gamma = base**(r/q) by baby-step giant-step, the first hit of the box
+    (range(m), range(m)) over (gamma**m, gamma), m = isqrt(q - 1) + 1. The
+    table of q is built when a digit first needs it and serves every later
+    digit and target. The logs merge by CRT. ``ops`` gains m per table,
+    plus per digit 2 and the giant steps walked (m on a miss).
     """
-    rs, shares = [], {}  # shares[q]: (b_i, i) for each order that q divides
-    for i, f in enumerate(orders):
-        rs.append(math.prod(q**b for q, b in f))
-        for q, b in f:
-            shares.setdefault(q, []).append((b, i))
-    lcm, plans, worst, top = math.lcm(*rs), [], ops[0], 0
-    for q, live in sorted(shares.items()):
-        live.sort(reverse=True)  # b descending: each level's active set is a prefix
-        e, m = live[0][0], math.isqrt(q - 1) + 1
-        co = lcm // q**e
-        for k, (b, i) in enumerate(live):  # + projection i, CRT weight (1 mod q**b, 0 mod r_i/q**b)
-            cofactor = rs[i] // q**b
-            live[k] = (b, i, pow(gens[i], co, n), cofactor * pow(cofactor, -1, q**b))
-        levels, s = [], 0  # per level: j, the shift, s, m**s, the active entries reversed
-        for j in range(e):
-            while s < len(live) and live[s][0] >= e - j:
-                s += 1
-            levels.append((j, q ** (e - 1 - j), s, m**s, live[s - 1 :: -1]))
-        plans.append((q, e, m, co, levels))
-        if cap < math.inf:
-            top = max(top, m**s)  # the last level's table is the largest
-            worst += sum({lv[3] for lv in levels}) + len(targets) * sum(2 + lv[3] for lv in levels)
-    if top > cap:
-        raise BudgetExceeded(f"sylow table of {top} entries exceeds cap {cap}")
-    if worst > budget:
-        raise BudgetExceeded(f"sylow work of {worst} operations exceeds budget {budget}")
-    out: list[Optional[list[int]]] = [[0] * len(gens) for _ in targets]
-    for q, e, m, co, levels in plans:
-        walks: dict[int, Callable[[int], Optional[int]]] = {}  # by s
-        for k, xs in enumerate(out):
-            if xs is None:
-                continue
-            y = pow(targets[k], co, n)
-            for j, shift, s, size, act in levels:
-                if s not in walks:
-                    gammas = [pow(g, q ** (b - 1), n) for b, _, g, _ in reversed(act)]
-                    axes = [pow(g, m, n) for g in gammas] + gammas
-                    walks[s] = _box_walker(axes, [range(m)] * (2 * s), n, s)
-                    ops[0] += size
-                pos = walks[s](pow(y, shift, n))
-                ops[0] += 2 + (size if pos is None else pos // size + 1)
-                if pos is None:
-                    out[k] = None
+    r = math.prod(q**e for q, e in factors)
+    logs: list[Optional[int]] = [0] * len(targets)
+    for q, e in factors:
+        co = r // q**e
+        crt = co * pow(co, -1, q**e)  # 1 mod q**e, 0 mod co
+        b = pow(base, co, n)
+        gamma = pow(b, q ** (e - 1), n)
+        m = math.isqrt(q - 1) + 1
+        walk = None
+        for i in [i for i, log in enumerate(logs) if log is not None]:
+            y = pow(targets[i], co, n)
+            x = 0
+            for j in range(e):
+                h = pow(y * pow(b, -x, n) % n, q ** (e - 1 - j), n)
+                if walk is None:
+                    walk = _box_walker((pow(gamma, m, n), gamma), (range(m), range(m)), n, 1)
+                    ops[0] += m
+                d = walk(h)
+                ops[0] += 2 + (m if d is None else d // m + 1)
+                if d is None:
+                    logs[i] = None
                     break
-                a, c = divmod(pos, size)  # the last active generator's digits are the lowest
-                for b, i, g, crt in act:
-                    a, ai = divmod(a, m)
-                    c, ci = divmod(c, m)
-                    x = (ai * m + ci) % q * q ** (j - e + b)
-                    if shift > 1:  # strip the digit for the levels still to come
-                        y = y * pow(g, -x, n) % n
-                    xs[i] = (xs[i] + x * crt) % rs[i]
-    return out
+                x += d * q**j
+            else:
+                logs[i] = (logs[i] + x * crt) % r
+    return logs
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +454,23 @@ def _echelon(rows: list[list[int]], ncols: int, q: int, e: int) -> list[tuple[in
                 rows[r] = [(x - f * y) % qe for x, y in zip(rows[r], pivot)]
         pivots.append((col, v))
     return pivots
+
+
+def _back_substitute(
+    rows: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], ncols: int, q: int, e: int
+) -> Optional[list[int]]:
+    """A solution mod q**e of ``rows`` as _echelon left them, with ``pivots``
+    and the right-hand side in column ``ncols``, or None when there is none:
+    a row past the pivots has a nonzero right-hand side, or a pivot q**v
+    does not divide what is left of its row's. A column without a pivot
+    gets 0; pivot rows are read last first.
+    """
+    if any(row[ncols] for row in rows[len(pivots) :]):
+        return None
+    qe, x = q**e, [0] * ncols
+    for (col, v), row in zip(reversed(pivots), reversed(rows[: len(pivots)])):
+        rest = (row[ncols] - sum(a * b for a, b in zip(row, x))) % qe
+        if rest % q**v:
+            return None
+        x[col] = rest // q**v
+    return x

@@ -38,8 +38,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Factorization, Modulus, _echelon, _pohlig_hellman, is_probable_prime
-from .arith import order_factors, primes_up_to
+from .arith import Factorization, Modulus, _back_substitute, _echelon, _pohlig_hellman
+from .arith import is_probable_prime, order_factors, primes_up_to
 from .congruence import Congruence, solve_system
 from .errors import BudgetExceeded, RankDeficient
 
@@ -201,8 +201,7 @@ def _solve_mod_prime_power(
     """Unique solution of A x = b mod q**e; RankDeficient when there is none.
 
     It is unique iff the echelon kernel gives every column a pivot of
-    valuation 0 and every row past the pivots has a zero right-hand side;
-    x is then read off the pivot rows by back-substitution, last first.
+    valuation 0 and back-substitution finds a solution.
     """
     qe = q**e
     aug = [[c % qe for c in coeffs] + [rhs % qe] for coeffs, rhs in rows]
@@ -212,11 +211,9 @@ def _solve_mod_prime_power(
         if all(row[col] % q == 0 for row in aug):
             raise RankDeficient(f"no unit pivot for column {col} mod {q}**{e}")
     pivots = _echelon(aug, ncols, q, e)
-    if [v for _, v in pivots] != [0] * ncols or any(row[ncols] for row in aug[ncols:]):
+    x = _back_substitute(aug, pivots, ncols, q, e)
+    if [v for _, v in pivots] != [0] * ncols or x is None:
         raise RankDeficient(f"no unique solution mod {q}**{e}")
-    x = [0] * ncols
-    for (col, _), row in zip(reversed(pivots), reversed(aug[:ncols])):
-        x[col] = (row[ncols] - sum(a * b for a, b in zip(row, x))) % qe
     return x
 
 
@@ -353,8 +350,7 @@ def relation_rank_demo(
     # Row j logs beta, the generators (equation j: its first t) and the bases
     # to base j, each re-checked by an explicit raise, which runs under -O.
     targets, t = (beta, *generators, *alphas), 1 + len(generators)
-    logs = [[x and x[0] for x in _pohlig_hellman([a], [f], targets, p, [0])]
-            for a, f in zip(alphas, factored)]
+    logs = [_pohlig_hellman(a, targets, p, f, [0]) for a, f in zip(alphas, factored)]
     for a, row in zip(alphas, logs):
         for x, y in zip(row, targets):
             if x is None or pow(a, x, p) != y % p:

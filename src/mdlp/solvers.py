@@ -1,14 +1,14 @@
 """Exponent-recovery methods.
 
-Five routes to the witness tuple of an instance:
+Six routes to the witness tuple of an instance:
 
 * exhaustive scan of the exponent box in lexicographic order;
 * meet-in-the-middle over the same box;
-* arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>, on the orders
-  that order_factors returns factored: the "auto" strategy, which tries
-  the two attacks below when it is over budget, and with one generator
-  the single DLP, a class mod the base's order (the classical stand-in
-  for a quantum period-finder throughout this package);
+* the "auto" strategy, subgroup's Sylow solve: the generators and beta,
+  logged in each cyclic Sylow factor of Z_N*, give linear systems mod q^e;
+* a single DLP, by arith's Pohlig-Hellman routine on the base's order
+  that order_factors returns factored, as a class mod that order (the
+  classical stand-in for a quantum period-finder throughout this package);
 * the collapse attack: solve beta = (g_1 ... g_t)**k as one DLP and split
   k mod each order, which works exactly when the witness residues are
   pairwise compatible;
@@ -38,9 +38,9 @@ from typing import Optional, Sequence
 
 from .arith import Factorization, Modulus, _box_walker, _pohlig_hellman, as_modulus, order_factors
 from .congruence import Congruence, solve_system, split_exponent
-from .errors import BudgetExceeded, IndependenceViolation, UnsolvableSystem
+from .errors import BudgetExceeded, UnsolvableSystem
 from .instance import Instance, verify
-from .subgroup import _independence
+from .subgroup import _sylow_solve
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_MITM = "mitm"
@@ -79,10 +79,10 @@ def solve_dlp(
     n = mod.n
     target %= n
     factors = order_factors(base, mod)
-    [log] = _pohlig_hellman([base], [factors], [target], n, [0] if ops is None else ops)
-    if log is None or pow(base, log[0], n) != target:
+    [log] = _pohlig_hellman(base, [target], n, factors, [0] if ops is None else ops)
+    if log is None or pow(base, log, n) != target:
         return None
-    return Congruence(log[0], math.prod(q**e for q, e in factors))
+    return Congruence(log, math.prod(q**e for q, e in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +262,9 @@ def solve(
 ) -> Optional[Solution]:
     """Recover the exponent tuple; None means definitively not found.
 
-    "auto" is arith's Pohlig-Hellman routine inside H = <g_1, ..., g_t>
-    (method "sylow", work 1 plus its group operations). beta**lcm(r_i) != 1
-    gives None at once; then a hit gives beta, and a miss is a proof only
-    for independent generators: after a miss, an unchecked dependent set
-    raises IndependenceViolation. The routine charges its worst case
-    before any table. When that is over ``budget``, or a table over
-    DEFAULT_MEMORY_CAP, as where generators share a large prime, collapse
-    and then peel are tried, whose logs take one generator at a time;
-    BudgetExceeded raises when neither decides.
+    "auto" is subgroup's Sylow solve (method "sylow", work its group
+    operations), which charges its worst case to ``budget`` and each table
+    to DEFAULT_MEMORY_CAP before any table is built.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -283,27 +277,6 @@ def solve(
     if strategy == "peel":
         return attack_peel(inst, budget=budget).solution
 
-    factored = [order_factors(g, inst.modulus) for g in inst.generators]
-    if pow(inst.beta, math.lcm(*inst.orders), inst.n) != 1:
-        return None
-    ops = [1]
-    try:
-        [exponents] = _pohlig_hellman(
-            inst.generators, factored, [inst.beta], inst.n, ops, budget, DEFAULT_MEMORY_CAP
-        )
-    except BudgetExceeded:
-        # collapse and peel log to one generator at a time, on tables that
-        # must fit the cap too; a peel scan that finds nothing is a proof
-        for g, f in zip(inst.generators, factored):
-            _pohlig_hellman([g], [f], [], inst.n, [0], cap=DEFAULT_MEMORY_CAP)
-        sol = attack_collapse(inst)
-        if sol is None and (peel := attack_peel(inst, budget=budget)).status == "not-applicable":
-            raise
-        return sol or peel.solution
-    if exponents is not None:
-        return _checked(inst, exponents, "sylow", ops[0])
-    if not inst.independence_verified:
-        res = _independence(inst.generators, inst.modulus, factored)
-        if not res.independent:
-            raise IndependenceViolation(res.witness)
-    return None
+    ops = [0]
+    exponents = _sylow_solve(inst.generators, inst.beta, inst.modulus, budget, DEFAULT_MEMORY_CAP, ops)
+    return None if exponents is None else _checked(inst, exponents, "sylow", ops[0])

@@ -1,4 +1,5 @@
-"""Independence of generators in Z_N*, decided prime by prime.
+"""Independence of generators in Z_N*, and the exponents of a target in
+the group H they span, decided prime by prime.
 
 For each prime q of lcm(r_i), every generator is projected into the
 q-Sylow subgroup of each cyclic factor of Z_N* (Z_{p^a}* for odd p, and
@@ -11,7 +12,9 @@ returns. No subgroup element is enumerated.
 Only a prime q shared by two or more orders is examined: where q divides
 one r_i alone, H_q is that generator's cyclic q-part at its full order.
 A shared q costs a table of about sqrt(q) entries per cyclic factor, so a
-q past MAX_SHARED_PRIME raises BudgetExceeded instead of building it.
+q past MAX_SHARED_PRIME raises BudgetExceeded instead of building it. The
+"auto" solver logs beta too, as one more column, at every prime of
+lcm(r_i), and solves the rows mod q^e for the exponents.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Modulus, _echelon, _pohlig_hellman, as_modulus, order_factors
+from .arith import Modulus, _back_substitute, _echelon, _pohlig_hellman, as_modulus, order_factors
 from .errors import BudgetExceeded
 
 # Largest prime shared by two orders that is logged: its baby-step table
@@ -33,14 +36,17 @@ class IndependenceResult(NamedTuple):
     witness: Optional[tuple[int, int]]  # (generator index, exponent)
 
 
-def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[int]]:
+def _sylow_rows(
+    gens: Sequence[int], mod: Modulus, q: int, e: int, ops: list[int]
+) -> list[list[int]]:
     """One row per cyclic factor of the q-Sylow subgroup of Z_N*.
 
     Entry i is the log of g_i's projection into that factor. A factor of
     order q^F is cut to its subgroup of order q^f, f = min(F, e), which
     holds every projection because g_i**(q**e) has no q-part; the entry
     is scaled by q^(e - f), so every row lives in Z/q^e. F is the exponent
-    of q in the component's factored lambda(p^a).
+    of q in the component's factored lambda(p^a). ``ops`` gains the
+    group operations of the logs.
     """
     rows = []
     for m, lam in mod.components:
@@ -63,7 +69,7 @@ def _sylow_rows(gens: Sequence[int], mod: Modulus, q: int, e: int) -> list[list[
             continue  # a zero row spans nothing
         f = min(big_f, e)
         base = pow(c, lam.n // q**f, m)
-        logs = [x and x[0] for x in _pohlig_hellman([base], [((q, f),)], ys, m, [0])]
+        logs = _pohlig_hellman(base, ys, m, ((q, f),), ops)
         for x, y in zip(logs, ys):  # an explicit check, which runs under -O
             if x is None or pow(base, x, m) != y:
                 raise AssertionError(f"no log of {y} to base {base} mod {m} in order {q}**{f}")
@@ -115,7 +121,7 @@ def _independence(
                 f"above {MAX_SHARED_PRIME}, too large to log by baby-step giant-step"
             )
         e = max(vals)
-        rows = _sylow_rows(gens, mod, q, e)
+        rows = _sylow_rows(gens, mod, q, e, [0])
         span = _span_valuation(rows, q, e)
         if span < sum(vals):
             deficient.append((q, e, rows, span))
@@ -130,3 +136,52 @@ def _independence(
         if v < r:
             return IndependenceResult(False, (i, v))
     raise AssertionError(f"a deficient prime of {gens} mod {mod.n}, yet every generator has full index")
+
+
+def _sylow_solve(
+    gens: Sequence[int], beta: int, mod: Modulus, budget: float, cap: float, ops: list[int]
+) -> Optional[list[int]]:
+    """[x_1, ..., x_t] with x_i in [0, r_i) and prod gens[i]**x_i = beta
+    mod N, or None when beta is outside H = <gens>: None is a proof, for
+    any generators.
+
+    beta**L != 1, L = lcm(r_i), gives None after one powering. Per q**e
+    exactly dividing L, the Sylow rows of gens and beta are a system in the
+    x_i mod q**e, echeloned with beta's column carried and back-substituted;
+    it is consistent exactly when beta's q-part lies in H's. The x_i merge
+    by CRT. Before any table, BudgetExceeded raises when the worst case is
+    over ``budget`` or a table over ``cap``: per q and component p^a with
+    F = v_q(lambda(p^a)) > 0, a table of m = isqrt(q - 1) + 1 and f =
+    min(F, e) digits of 2 + m for each of the t + 1 logs, plus 1 for the
+    powering. ``ops`` gains the powering and the logs.
+    """
+    t, factored = len(gens), [dict(order_factors(g, mod)) for g in gens]
+    exps: dict[int, int] = {}
+    for f in factored:
+        for q, b in f.items():
+            exps[q] = max(exps.get(q, 0), b)
+    ops[0] += 1
+    if pow(beta, math.prod(q**e for q, e in exps.items()), mod.n) != 1:
+        return None
+    worst = ops[0]
+    for q, e in exps.items():
+        m = math.isqrt(q - 1) + 1
+        for _, lam in mod.components:
+            if big_f := dict(lam).get(q, 0):
+                if m > cap:
+                    raise BudgetExceeded(f"sylow table of {m} entries exceeds cap {cap}")
+                worst += m + (t + 1) * min(big_f, e) * (2 + m)
+    if worst > budget:
+        raise BudgetExceeded(f"sylow work of {worst} operations exceeds budget {budget}")
+    rs = [math.prod(q**b for q, b in f.items()) for f in factored]
+    xs = [0] * t
+    for q, e in sorted(exps.items()):
+        rows = _sylow_rows([*gens, beta], mod, q, e, ops)
+        x = _back_substitute(rows, _echelon(rows, t, q, e), t, q, e)
+        if x is None:
+            return None
+        for i, f in enumerate(factored):
+            if q in f:
+                co = rs[i] // q ** f[q]  # the CRT weight is 1 mod q**b_i, 0 mod co
+                xs[i] = (xs[i] + x[i] * co * pow(co, -1, q ** f[q])) % rs[i]
+    return xs

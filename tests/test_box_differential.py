@@ -19,7 +19,7 @@ from mdlp import solvers
 from mdlp.arith import Factorization, is_probable_prime
 from mdlp.congruence import Congruence, solve_system
 from mdlp.instance import make_instance
-from mdlp.errors import BudgetExceeded, IndependenceViolation
+from mdlp.errors import BudgetExceeded
 from mdlp.solvers import attack_peel, solve, solve_exhaustive, solve_mitm
 from mdlp.subgroup import independence_check
 
@@ -36,11 +36,14 @@ EDGE_CASES = (
     make_instance(35, [13, 29], beta=27, check_independence=False),
     make_instance(35, [13, 13, 19], beta=19, check_independence=False),
     make_instance(35, [13], beta=19),
-    # beta**4 = 1 = 13**4, yet -1 is not a power of 13: a miss at a level
+    # beta**4 = 1 = 13**4, yet -1 is not a power of 13: outside H though beta**L = 1
     make_instance(35, [13], beta=34),
     make_instance(35, [1, 1], beta=13),
-    # 3 = 2**0 * 3**1 lies in H = <2, 3>, yet the dependent pair misses a level
+    # 3 = 2**0 * 3**1 lies in H = <2, 3>, which the dependent pair spans
     make_instance(35, [2, 3], witness=(0, 1), check_independence=False),
+    # 21 is 1 mod 5 and of order 4 mod 13, outside H though 21**4 = 1: the
+    # system mod 4 has a pivot 2 that does not divide its right-hand side
+    make_instance(65, [47, 51], beta=21),
 )
 
 
@@ -143,22 +146,20 @@ def test_mitm_matches_oracle(inst, memory_cap):
 
 @differential()
 def test_auto_matches_oracle(inst):
-    # A hit gives beta whatever the generators; a miss proves beta outside
-    # H only for independent ones, so on a dependent set auto raises
-    # instead of reporting it. Independent generators give beta at most one
-    # tuple of the box.
+    # The Sylow systems are consistent exactly when beta lies in H, so on
+    # every draw, dependent generators included, auto misses exactly when
+    # the oracle does, and a hit gives a tuple of the box. Independent
+    # generators give beta at most one tuple. The charge bounds the work.
     hits = [ks for _, ks in _lexicographic_hits(inst, _full_box(inst))]
     independent = independence_check(inst.generators, inst.modulus).independent
-    try:
-        sol = solve(inst, "auto")
-    except IndependenceViolation:
-        assert not independent
-        return
+    sol = solve(inst, "auto")
     if not hits:
         assert sol is None
     else:
         assert sol.exponents in hits
         assert not independent or len(hits) == 1
+        with pytest.raises(BudgetExceeded):
+            solve(inst, "auto", budget=sol.work - 1)
 
 
 @differential()

@@ -11,7 +11,7 @@ import mdlp
 from mdlp import indexcalc
 from mdlp.arith import Factorization
 from mdlp.cli import build_parser, main
-from mdlp.instance import dumps, generate, make_instance, to_json_dict
+from mdlp.instance import dumps, generate, hardness_report, make_instance, to_json_dict
 
 
 def run(capsys, *argv):
@@ -161,12 +161,12 @@ class TestValidate:
 
 class TestSolve:
     def test_auto_uses_collapse(self, capsys, example_file):
-        # auto runs Pohlig-Hellman inside H on the collapsible example too.
+        # auto runs the Sylow solve on the collapsible example too.
         code, doc = run_json(capsys, "solve", example_file, "--strategy", "auto")
         assert code == 0
         assert doc["result"]["method"] == "sylow"
         assert doc["result"]["exponents"] == ["3", "1"]
-        assert doc["work"] == 18
+        assert doc["work"] == 43
 
     def test_auto_solves_what_every_other_strategy_refuses(self, capsys, tmp_path):
         # N = p1 * p2 has 99 bits and the orders 2 * 4194319 and 2 * 4194329
@@ -183,17 +183,17 @@ class TestSolve:
         assert code == 0
         assert doc["result"]["method"] == "sylow"
         assert doc["result"]["exponents"] == ["3957039", "7654322"]
-        assert doc["work"] == 7731
+        assert doc["work"] == 15663
         for strategy, exit_status in (("collapse", 1), ("peel", 1), ("mitm", 3), ("exhaustive", 3)):
             code, doc = run_json(capsys, "solve", str(path), "--strategy", strategy)
             assert code == exit_status, strategy
 
     def test_auto_peels_when_a_shared_prime_is_over_the_cap(self, capsys, tmp_path):
         # Both orders are the prime q = 8388617, which divides p1 - 1 and
-        # p2 - 1: g1 is 1 mod p2 and g2 is 1 mod p1. Inside H the table of
-        # q's top level holds m**2 = 8392609 entries, over the memory cap,
-        # so auto tries collapse (k1 != k2 mod q: no) and then peel, whose
-        # logs mod p1 and mod p2 take one generator each.
+        # p2 - 1: g1 is 1 mod p2 and g2 is 1 mod p1. A table inside H for
+        # both at once would hold m**2 = 8392609 entries, over the memory
+        # cap; the Sylow solve logs each unit mod p1 and mod p2 on tables of
+        # m = 2897 entries.
         p1, p2 = 201326809, 218104043
         gens = [49945825848, 43909999142739811]
         inst = make_instance(Factorization(((p1, 1), (p2, 1))), gens, witness=(5000011, 1234567))
@@ -202,11 +202,71 @@ class TestSolve:
         path.write_text(dumps(inst))
         code, doc = run_json(capsys, "solve", str(path))
         assert code == 0
-        assert doc["result"]["method"] == "peel+recurse"
+        assert doc["result"]["method"] == "sylow"
         assert doc["result"]["exponents"] == ["5000011", "1234567"]
-        assert doc["work"] == 7952
+        assert doc["work"] == 9089
         code, doc = run_json(capsys, "solve", str(path), "--strategy", "collapse")
         assert code == 1
+
+    def test_auto_solves_a_resistant_pair_at_a_shared_prime(self, capsys, tmp_path):
+        # The same N = p1 * p2 (56 bits) and q = 8388617, with generators
+        # that mix both primes: neither collapse nor peel applies, the MITM
+        # table is over its cap and the exhaustive box over the budget.
+        p1, p2 = 201326809, 218104043
+        gens = [43910049088565658, 7817457006251435]
+        inst = make_instance(Factorization(((p1, 1), (p2, 1))), gens, witness=(5000011, 1234567))
+        assert inst.n.bit_length() == 56
+        assert inst.orders == (8388617, 8388617)
+        assert hardness_report(inst).verdict == "resists-hsp-necessary-condition"
+        path = tmp_path / "resistant.json"
+        path.write_text(dumps(inst))
+        code, doc = run_json(capsys, "solve", str(path))
+        assert code == 0
+        assert doc["result"]["method"] == "sylow"
+        assert doc["result"]["exponents"] == ["5000011", "1234567"]
+        assert doc["work"] == 10245
+        for strategy, exit_status in (("collapse", 1), ("peel", 1), ("mitm", 3), ("exhaustive", 3)):
+            code, doc = run_json(capsys, "solve", str(path), "--strategy", strategy)
+            assert code == exit_status, strategy
+
+    def test_auto_solves_a_1022_bit_shared_prime_instance(self, capsys, tmp_path):
+        # p1 - 1 = 6 * q * k1 and p2 - 1 = 10 * q * k2 with k1, k2 prime and
+        # q = 1000003 (p1 of 512 bits, p2 of 511). g1 has order 3q and g2
+        # order 5q, and each is of order q or more mod both primes.
+        p1 = int(
+            "67133370509770338662583059351549780818354034543433552936232131222439514284255"
+            "60087854943355089010023365136487629016888259297007521088749831094472456883043"
+        )
+        p2 = int(
+            "33553708943861897223684616340940367732099824412220535672044130483023623800412"
+            "60541925812365712695644061563156204644256533553190185253658364229590041658011"
+        )
+        gens = [
+            int(
+                "32009108661814482219437955846422929682886111896484219193101380591624425336287"
+                "67629936930429636508754677982912584494966505178262827889159934267083698485758"
+                "36383881003670382629553767069848604941540244504544505631819593103809826044344"
+                "445982842104188751419194964429271502720660735992505402424486654105375368726"
+            ),
+            int(
+                "35494436604171999481865121290444285966690076135111114892886596370217026611762"
+                "17675155492882072079535474417674847869343678133450058551775706993223752697015"
+                "74937954332100413249601316334238686883265248070515489382091164296820309185223"
+                "6741019043153930811542748164121488883886584596686205825849597681395418673027"
+            ),
+        ]
+        q = 1_000_003
+        inst = make_instance(Factorization(((p2, 1), (p1, 1))), gens, witness=(2345678, 4567890))
+        assert inst.n.bit_length() == 1022
+        assert inst.orders == (3 * q, 5 * q)
+        assert (p1 - 1) % (6 * q) == 0 and (p2 - 1) % (10 * q) == 0
+        path = tmp_path / "wide1022.json"
+        path.write_text(dumps(inst))
+        code, doc = run_json(capsys, "solve", str(path))
+        assert code == 0
+        assert doc["result"]["method"] == "sylow"
+        assert doc["result"]["exponents"] == ["2345678", "4567890"]
+        assert doc["work"] == 5955
 
     def test_exhaustive_same_answer(self, capsys, example_file):
         code, doc = run_json(capsys, "solve", example_file,

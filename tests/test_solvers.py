@@ -13,7 +13,7 @@ import mdlp
 from mdlp import arith, solvers, subgroup
 from mdlp.arith import Factorization, Modulus
 from mdlp.congruence import Congruence, solve_system
-from mdlp.errors import BudgetExceeded, IndependenceViolation
+from mdlp.errors import BudgetExceeded
 from mdlp.instance import generate, make_instance, verify
 from mdlp.solvers import (
     attack_collapse,
@@ -91,8 +91,8 @@ class TestSolveDlp:
             else:
                 assert got is None
             batch = [target, 1, g, n - 1, target * g % n, target * target % n]
-            logs = arith._pohlig_hellman([g], [arith.order_factors(g, n)], batch, n, [0])
-            assert logs == [None if y not in naive else [naive[y]] for y in batch]
+            logs = arith._pohlig_hellman(g, batch, n, arith.order_factors(g, n), [0])
+            assert logs == [naive.get(y) for y in batch]
             done += 1
 
     def test_large_smooth_order(self):
@@ -133,14 +133,14 @@ class TestSolveDlp:
 
         with mock.patch.object(arith, "_box_walker", counted):
             # 9 has order 3**5 mod 487: five digits on one table
-            assert arith._pohlig_hellman([9], [((3, 5),)], [pow(9, 200, 487)], 487, [0]) == [[200]]
+            assert arith._pohlig_hellman(9, [pow(9, 200, 487)], 487, ((3, 5),), [0]) == [200]
             assert (len(tables), len(walks)) == (1, 5)
             # One table per cyclic factor of the 3-Sylow subgroup of Z_1729*
             # (1729 = 7 * 13 * 19), for a row of four generators; the factor
             # of order 9 at 19 takes two digits per generator.
             tables.clear()
             walks.clear()
-            rows = subgroup._sylow_rows([2, 3, 5, 10], Modulus.from_int(1729), 3, 2)
+            rows = subgroup._sylow_rows([2, 3, 5, 10], Modulus.from_int(1729), 3, 2, [0])
             assert len(tables) == len(rows) == 3
             assert len(walks) == 4 * (1 + 1 + 2)
             # A miss at the first prime builds no table at a later one:
@@ -150,22 +150,13 @@ class TestSolveDlp:
             assert tables == [2]
             assert solve_dlp(2, 23, 35) == Congruence(7, 12)
             assert tables == [2, 2, 2]
-            # Several generators: 27 and 31 have order 4 mod 65 (27 at 5, 31
-            # at 13), so both are active at both levels of q = 2, and one
-            # table of m**2 = 4 entries serves the two levels of two targets.
-            tables.clear()
-            walks.clear()
-            targets = [pow(27, 3, 65) * 31 % 65, 27 * pow(31, 2, 65) % 65]
-            logs = arith._pohlig_hellman([27, 31], [((2, 2),)] * 2, targets, 65, [0])
-            assert logs == [[3, 1], [1, 2]]
-            assert (tables, len(walks)) == ([2], 4)
 
     def test_order_is_not_factored(self):
-        # With lambda(N) cached on the Modulus, ord(base) is read off its
-        # primes. The profile hook sees factorize under any name it was
-        # imported as.
+        # With each component's lambda(p**a) cached, factored, on the
+        # Modulus, ord(base) is read off its primes. The profile hook sees
+        # factorize under any name it was imported as.
         inst = make_instance(35, [13, 19], witness=(3, 1))
-        inst.modulus.carmichael_factorization
+        inst.modulus.components
         factored = []
 
         def profile(frame, event, arg):
@@ -354,14 +345,14 @@ class TestAttackPeel:
 
 class TestOrchestrator:
     def test_auto_prefers_collapse(self, worked_example):
-        # auto is the Pohlig-Hellman routine inside H, on the collapsible
-        # worked example too: orders 4 and 6, tables of 2, 4 and 2 entries,
-        # three levels of 2 operations and one giant step each, and the
-        # powering by L = 12.
+        # auto is the Sylow solve on the collapsible worked example too:
+        # orders 4 and 6, L = 12; at q = 2 the components 5 and 7 log the
+        # three units in 2-Sylow factors of orders 4 and 2, at q = 3 the
+        # component 7 in one of order 3, each on a table of 2 entries.
         sol = solve(worked_example, "auto")
         assert sol.method == "sylow"
         assert sol.exponents == (3, 1)
-        assert sol.work == 18
+        assert sol.work == 43
 
     def test_auto_on_collapse_resistant_instance(self):
         inst = make_instance(35, [13, 19], witness=(1, 0))
@@ -392,56 +383,59 @@ class TestOrchestrator:
             solve(inst, "auto", budget=1)
 
     def test_auto_charges_its_worst_case_before_any_table(self, worked_example):
-        # Orders 4 and 6, m = 2: at q = 2 the tables of 2 and 4 entries and
-        # two levels of 2 + 2 and 2 + 4; at q = 3 one table of 2 and one
-        # level of 2 + 2; plus the powering by lcm = 12: 23 in all. The
-        # resistant instance has the same orders, and neither collapse nor
-        # peel applies to it.
-        assert solve(worked_example, "auto", budget=23).work == 18
+        # Orders 4 and 6, m = 2 at q = 2 and q = 3, three logs per factor:
+        # at q = 2 the factors at 5 (f = 2) and 7 (f = 1) charge
+        # 2 + 3 * 2 * 4 and 2 + 3 * 1 * 4, at q = 3 the factor at 7 charges
+        # 2 + 3 * 1 * 4, plus the powering by lcm = 12: 55 in all.
+        assert solve(worked_example, "auto", budget=55).work == 43
         resistant = make_instance(35, [13, 19], witness=(1, 0))
-        with pytest.raises(BudgetExceeded, match="sylow work of 23 operations exceeds budget 22"):
-            solve(resistant, "auto", budget=22)
-        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3), \
-                pytest.raises(BudgetExceeded, match="sylow table of 4 entries exceeds cap 3"):
+        with pytest.raises(BudgetExceeded, match="sylow work of 55 operations exceeds budget 54"):
+            solve(resistant, "auto", budget=54)
+        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 1), \
+                pytest.raises(BudgetExceeded, match="sylow table of 2 entries exceeds cap 1"):
             solve(resistant, "auto")
 
     def test_auto_tries_collapse_and_peel_when_over_budget(self, worked_example):
-        sol = solve(worked_example, "auto", budget=22)
-        assert (sol.method, sol.exponents) == ("collapse", (3, 1))
-        with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3):
-            assert solve(worked_example, "auto").method == "collapse"
-        # Their one-generator tables must fit the cap too. Every log to 4,
-        # of prime order q = (p - 1)/2, needs isqrt(q - 1) + 1 entries.
-        big = make_instance(Factorization(((70368744181907, 1),)), [4], witness=(123456789,))
+        # auto is the Sylow solve alone: no other method runs when it is
+        # over the budget or the cap, and it raises from its charge before
+        # any table. The worked example raises under a budget of 22 and is
+        # solved at a cap of 3.
         with mock.patch.object(solvers, "attack_collapse", side_effect=AssertionError), \
-                pytest.raises(BudgetExceeded, match="sylow table of 5931642 entries exceeds cap"):
-            solve(big, "auto")
-        # 7 - 4 is odd and gcd(10, 12) = 2: collapse does not apply, peel
-        # does, and leaves one tuple (peelable_instance with k2 = 4)
-        peelable = make_instance(385, [211, 353], witness=(7, 4))
-        sol = solve(peelable, "auto", budget=1)
-        assert (sol.method, sol.exponents) == ("peel+recurse", (7, 4))
-        # A peel scan that finds nothing is a proof. beta = 276 is 1 mod 11
-        # and 31 mod 35, outside <3>, so outside H though beta**60 = 1. Its
-        # residues at 5 and 7 conflict and pin nothing; peel scans the 12
-        # tuples with k1 = 0 (from 11), under a budget the routine's 31 is over.
-        outside = make_instance(385, [211, 353], beta=276)
-        assert solve(outside, "exhaustive") is None
-        assert attack_peel(outside).status == "not-found"
-        assert solve(outside, "auto", budget=12) is None
+                mock.patch.object(solvers, "attack_peel", side_effect=AssertionError):
+            with pytest.raises(BudgetExceeded, match="sylow work of 55 operations exceeds budget 22"):
+                solve(worked_example, "auto", budget=22)
+            with mock.patch.object(solvers, "DEFAULT_MEMORY_CAP", 3):
+                assert solve(worked_example, "auto").method == "sylow"
+            # Every log to 4, of prime order q = (p - 1)/2, needs a table of
+            # isqrt(q - 1) + 1 entries, over the cap.
+            big = make_instance(Factorization(((70368744181907, 1),)), [4], witness=(123456789,))
+            with pytest.raises(BudgetExceeded, match="sylow table of 5931642 entries exceeds cap"):
+                solve(big, "auto")
+            # 7 - 4 is odd and gcd(10, 12) = 2: collapse does not apply, peel
+            # does (peelable_instance with k2 = 4); auto solves it itself.
+            peelable = make_instance(385, [211, 353], witness=(7, 4))
+            sol = solve(peelable, "auto")
+            assert (sol.method, sol.exponents, sol.work) == ("sylow", (7, 4), 68)
+            with pytest.raises(BudgetExceeded, match="sylow work of 87 operations exceeds budget 1"):
+                solve(peelable, "auto", budget=1)
+            # beta = 276 is 1 mod 11 and 31 mod 35, outside <3>, so outside H
+            # though beta**60 = 1: the system mod 4 is inconsistent.
+            outside = make_instance(385, [211, 353], beta=276)
+            assert solve(outside, "exhaustive") is None
+            assert solve(outside, "auto") is None
 
     def test_auto_checks_independence_only_after_a_miss(self):
-        # 29 = 13**2, so the unchecked pair is dependent and H = <13>. A hit
-        # gives beta whatever the generators: 27 = 13 * 29 needs no check.
-        # 34 = -1 has 34**4 = 1 but is outside H, and a miss on a dependent
-        # set proves nothing, so auto raises.
+        # 29 = 13**2, so the unchecked pair is dependent and H = <13>. The
+        # Sylow systems are consistent exactly when beta lies in H, so auto
+        # never runs the independence check: 27 = 13**3 hits, and
+        # 34 = -1, with 34**4 = 1 but outside H, is a proven miss.
         hit = make_instance(35, [13, 29], beta=27, check_independence=False)
-        with mock.patch.object(solvers, "_independence", side_effect=AssertionError):
-            sol = solve(hit, "auto")
-        assert (sol.method, sol.exponents) == ("sylow", (1, 1))
         miss = make_instance(35, [13, 29], beta=34, check_independence=False)
-        with pytest.raises(IndependenceViolation):
-            solve(miss, "auto")
+        with mock.patch.object(subgroup, "_independence", side_effect=AssertionError):
+            sol = solve(hit, "auto")
+            assert solve(miss, "auto") is None
+        assert (sol.method, sol.exponents) == ("sylow", (3, 0))
+        assert solve(miss, "exhaustive") is None
 
     def test_every_solution_verifies(self):
         for i in range(40):
@@ -516,7 +510,7 @@ a._box_walker = s._box_walker = kernel
 # The independence check's witness, and its re-check of every Sylow log.
 if sg.independence_check([13, 29], 35) != (False, (0, 2)):
     raise SystemExit("wrong independence witness")
-sg._pohlig_hellman = lambda gens, orders, targets, n, ops: [[0]] * len(targets)
+sg._pohlig_hellman = lambda base, targets, n, factors, ops: [0] * len(targets)
 try:
     sg.independence_check([13, 29], 35)
 except AssertionError:
