@@ -43,10 +43,10 @@ def _sylow_rows(
 
     Entry i is the log of g_i's projection into that factor. A factor of
     order q^F is cut to its subgroup of order q^f, f = min(F, e), which
-    holds every projection because g_i**(q**e) has no q-part; the entry
-    is scaled by q^(e - f), so every row lives in Z/q^e. F is the exponent
-    of q in the component's factored lambda(p^a). ``ops`` gains the
-    group operations of the logs.
+    holds every projection because no g_i**(q**e) has a q-part (a caller
+    logging beta checks beta**L = 1 first); the entry is scaled by
+    q^(e - f), so every row lives in Z/q^e. F is the exponent of q in the
+    component's factored lambda(p^a). ``ops`` gains the logs' operations.
     """
     rows = []
     for m, lam in mod.components:
